@@ -1,19 +1,11 @@
-"""Bench matrix smoke: a tiny grid through the runner + parallel bit-identity.
+"""Bench matrix smoke: a tiny grid through the runner.
 
-Two CI-facing guarantees live here:
-
-* :func:`repro.evaluation.run_bench_matrix` sweeps a small detector ×
-  dataset × sampler × workers grid end-to-end and serialises ONE
-  schema-versioned ``BENCH_matrix.json`` (path overridable via
-  ``REPRO_BENCH_MATRIX_OUTPUT``) — the artifact CI uploads,
-* every baseline that gained a :class:`~repro.training.ParallelLossSpec`
-  in the universal-parallelism refactor trains **bit-identically** through
-  the spec path at one worker vs its frozen serial closure.  Each check
-  prints a greppable line::
-
-      bit-identity (frozen serial loop vs ParallelLossSpec num_workers=1) [OmniAnomaly]: OK
-
-  which the CI job asserts on (run pytest with ``-s``).
+:func:`repro.evaluation.run_bench_matrix` sweeps a small detector × dataset
+× sampler × workers grid end-to-end and serialises ONE schema-versioned
+``BENCH_matrix.json`` (path overridable via ``REPRO_BENCH_MATRIX_OUTPUT``) —
+the artifact CI uploads.  The baselines' 1-worker bit-identity against
+frozen copies of their serial closures is a unit test
+(``tests/test_parallel_baselines.py::TestSpecBitIdentity``).
 
 Environment knobs: ``REPRO_BENCH_MATRIX_SCALE`` (default 0.04) and
 ``REPRO_BENCH_MATRIX_OUTPUT``.
@@ -24,23 +16,14 @@ from __future__ import annotations
 import json
 import os
 
-import numpy as np
-
-from repro.data import load_dataset
 from repro.evaluation import (
     BENCH_SCHEMA_VERSION,
-    bench_detector_factory,
     run_bench_matrix,
     write_bench_matrix,
 )
 
 MATRIX_SCALE = float(os.environ.get("REPRO_BENCH_MATRIX_SCALE", "0.04"))
 OUTPUT = os.environ.get("REPRO_BENCH_MATRIX_OUTPUT", "BENCH_matrix.json")
-
-#: The baselines newly factored onto the spec path by this refactor; the
-#: other spec baselines (LSTM-AD, MSCRED, MTAD-GAT, TranAD) are covered by
-#: the unit suite.
-NEWLY_PARALLEL = ["OmniAnomaly", "InterFusion", "MAD-GAN", "BeatGAN", "GDN"]
 
 
 class TestBenchMatrix:
@@ -88,25 +71,3 @@ class TestBenchMatrix:
             for key in ("precision", "recall", "f1", "r_auc_pr"):
                 assert abs(serial[key] - parallel[key]) < 1e-6, (detector, key)
 
-
-class TestSpecBitIdentity:
-    def test_newly_parallel_baselines_bit_identical_at_one_worker(self):
-        train = load_dataset("GCP", seed=0, scale=0.04).train
-        print()
-        for name in NEWLY_PARALLEL:
-            serial = bench_detector_factory(name, 0).fit(train)
-            spec = bench_detector_factory(name, 0)
-            spec._force_parallel_spec = True
-            spec.fit(train)
-
-            parameters = list(zip(serial._trainer_parameters(),
-                                  spec._trainer_parameters()))
-            if getattr(type(serial), "_adversary_loss_method", None) is not None:
-                parameters += list(zip(serial._adversary_parameters(),
-                                       spec._adversary_parameters()))
-            identical = (
-                all(np.array_equal(b.data, a.data) for a, b in parameters)
-                and spec.train_losses == serial.train_losses)
-            print("bit-identity (frozen serial loop vs ParallelLossSpec "
-                  f"num_workers=1) [{name}]: {'OK' if identical else 'FAIL'}")
-            assert identical, name

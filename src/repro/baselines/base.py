@@ -30,7 +30,6 @@ from ..training import (
     EarlyStopping,
     MethodLossSpec,
     ParallelTrainer,
-    Trainer,
     TrainResult,
     WindowLoader,
     split_windows,
@@ -82,9 +81,9 @@ class BaseDetector(ABC):
     name: str = "Base"
 
     #: Whether EarlyStopping may roll the trained parameters back to the best
-    #: epoch.  Adversarial detectors set this False: only the generator runs
-    #: through the Trainer, so restoring it would desynchronise it from the
-    #: discriminator (which keeps stepping inside the loss function).
+    #: epoch.  Adversarial detectors set this False: only the generator is
+    #: the Trainer's, so restoring it would desynchronise it from the
+    #: discriminator (which the spec's adversary round keeps stepping).
     _restore_best_weights: bool = True
 
     #: Declarative data-parallel capability flag.  A class sets this True
@@ -113,11 +112,6 @@ class BaseDetector(ABC):
     #: ``_adversary_parameters()`` and the ``_discriminator_opt`` attribute
     #: for the parent-side adversary step.
     _adversary_loss_method: Optional[str] = None
-
-    #: Test/bench knob: route ``num_workers=1`` through the spec path
-    #: (``ParallelTrainer`` + ``SpecReducer``) instead of the frozen serial
-    #: closure, to exercise the bit-identity contract between the two.
-    _force_parallel_spec: bool = False
 
     def __init__(self, threshold_percentile: float = 97.0, use_pot: bool = False,
                  seed: int = 0,
@@ -204,64 +198,52 @@ class BaseDetector(ABC):
     # ------------------------------------------------------------------
     # Shared training engine hook
     # ------------------------------------------------------------------
-    def _run_trainer(self, parameters: Sequence, loss_fn: Callable,
-                     arrays: Sequence[np.ndarray], *, epochs: int,
-                     batch_size: int, learning_rate: float,
-                     grad_clip: Optional[float] = 5.0,
-                     optimizer=None, callbacks: Sequence = (),
-                     val_loss_fn: Optional[Callable] = None) -> TrainResult:
-        """Train through the shared :class:`repro.training.Trainer`.
+    def _run_trainer(self, arrays: Sequence[np.ndarray], *, epochs: int,
+                     batch_size: int, learning_rate: float) -> TrainResult:
+        """Train :meth:`_trainer_parameters` through the detector's loss spec.
 
         Every baseline funnels its epoch loop through here: ``arrays`` are
         the aligned sample arrays (windows, or histories + targets) batched
         by a vectorized :class:`~repro.training.WindowLoader` driven by the
-        detector's own ``rng``, and ``loss_fn(batch, state)`` computes the
-        per-batch loss.  The detector-level ``early_stopping_patience``
-        plugs in an :class:`~repro.training.EarlyStopping` callback; the
-        resulting loss curve lands in ``self.train_losses``.
+        detector's own ``rng``, and the loss is always the detector's
+        :meth:`_parallel_spec` under a :class:`~repro.training.ParallelTrainer`
+        — ``num_workers`` picks only the gradient reducer (in-process at one
+        worker, spawned gradient workers above).  The detector-level
+        ``early_stopping_patience`` plugs in an
+        :class:`~repro.training.EarlyStopping` callback; the resulting loss
+        curve lands in ``self.train_losses``.
 
         With ``validation_fraction > 0`` the arrays are deterministically
         split first and the held-out part is scored grad-free at every epoch
-        end (curve in ``self.val_losses``); early stopping then monitors the
-        held-out loss.  ``val_loss_fn`` overrides the loss used for that
-        pass — required whenever ``loss_fn`` has training side effects, like
-        the GAN baselines stepping their discriminator inside the closure.
+        end (curve in ``self.val_losses``; see :meth:`_validation_loss`);
+        early stopping then monitors the held-out loss.
         """
+        spec = self._parallel_spec()
+        if spec is None:
+            raise ValueError(
+                f"{self.name} does not support num_workers > 1: "
+                f"{self.parallel_unsupported_reason}.  "
+                "Train with num_workers=1."
+            )
         arrays, val_arrays = split_windows(
             tuple(arrays), self.validation_fraction, self.rng,
             split=self.validation_split)
         loader = WindowLoader(*arrays, batch_size=batch_size, rng=self.rng)
         validate_fn = None
         if val_arrays is not None:
-            validate_fn = self._make_validate_fn(
-                val_arrays, batch_size, val_loss_fn or loss_fn)
-        if optimizer is None:
-            optimizer = Adam(parameters, lr=learning_rate)
-        # Detector-derived callbacks run before caller-supplied ones (the
-        # same order ImDiffusionDetector.fit uses), so a trailing Checkpoint
-        # always snapshots the post-restore weights.
-        engine_callbacks = []
+            validate_fn = self._make_validate_fn(val_arrays, batch_size, spec)
+        parameters = self._trainer_parameters()
+        callbacks = []
         if self.early_stopping_patience is not None:
-            engine_callbacks.append(EarlyStopping(
+            callbacks.append(EarlyStopping(
                 patience=self.early_stopping_patience,
                 min_delta=self.early_stopping_min_delta,
                 restore_best=self._restore_best_weights,
             ))
-        common = dict(grad_clip=grad_clip,
-                      callbacks=engine_callbacks + list(callbacks),
-                      rng=self.rng, validate_fn=validate_fn)
-        if self.num_workers != 1 or self._force_parallel_spec:
-            spec = self._parallel_spec()
-            if spec is None:
-                raise ValueError(
-                    f"{self.name} does not support num_workers > 1: "
-                    f"{self.parallel_unsupported_reason}.  "
-                    "Train with num_workers=1."
-                )
-            trainer = ParallelTrainer(parameters, optimizer, spec,
-                                      num_workers=self.num_workers, **common)
-        else:
-            trainer = Trainer(parameters, optimizer, loss_fn, **common)
+        trainer = ParallelTrainer(parameters, Adam(parameters, lr=learning_rate),
+                                  spec, num_workers=self.num_workers,
+                                  grad_clip=5.0, callbacks=callbacks,
+                                  rng=self.rng, validate_fn=validate_fn)
         result = trainer.fit(loader, epochs=epochs)
         self.train_losses = list(result.epoch_losses)
         self.val_losses = list(result.val_losses)
@@ -292,10 +274,10 @@ class BaseDetector(ABC):
                               draw_method=self._parallel_draw_method)
 
     def _trainer_parameters(self) -> List:
-        """The trainable parameters, in the order given to ``_run_trainer``.
+        """The parameters ``_run_trainer`` trains, in a fixed order.
 
-        Parallel-capable baselines override this; worker replicas rebuild
-        their parameter list through it, so the order must match the parent's
+        Trainable baselines override this; worker replicas rebuild their
+        parameter list through it, so the order must match the parent's
         exactly.
         """
         raise NotImplementedError(
@@ -304,32 +286,36 @@ class BaseDetector(ABC):
         )
 
     def _make_validate_fn(self, val_arrays: Sequence[np.ndarray],
-                          batch_size: int, loss_fn: Callable) -> Callable:
-        """Wrap ``loss_fn`` into a grad-free held-out pass over ``val_arrays``.
+                          batch_size: int, spec: MethodLossSpec) -> Callable:
+        """A grad-free held-out pass over ``val_arrays``, one per epoch end.
 
-        The detector's ``rng`` is swapped for a generator re-seeded with
-        ``seed + VALIDATION_SEED_OFFSET`` for the duration of the pass, so
-        stochastic losses (the VAE reparameterisations, the GAN latent
-        draws) see identical randomness at every epoch — comparable values —
-        without consuming the training stream the loss closures share.
+        Each pass draws from a fresh generator seeded with
+        ``seed + VALIDATION_SEED_OFFSET``, so stochastic losses (the VAE
+        reparameterisations, the GAN latent draws) see identical randomness
+        at every epoch — comparable values — and the training stream is
+        never consumed.
         """
         val_loader = WindowLoader(*val_arrays, batch_size=batch_size, shuffle=False)
 
         def validate(trainer, state) -> float:
+            rng = np.random.default_rng(self.seed + VALIDATION_SEED_OFFSET)
             total, count = 0.0, 0
-            train_rng = self.rng
-            self.rng = np.random.default_rng(self.seed + VALIDATION_SEED_OFFSET)
-            try:
-                with no_grad():
-                    for batch in val_loader:
-                        loss = loss_fn(batch, state)
-                        total += float(loss.data) * batch.size
-                        count += batch.size
-            finally:
-                self.rng = train_rng
+            with no_grad():
+                for batch in val_loader:
+                    loss = self._validation_loss(spec, batch, rng, state)
+                    total += float(loss.data) * batch.size
+                    count += batch.size
             return total / max(count, 1)
 
         return validate
+
+    def _validation_loss(self, spec: MethodLossSpec, batch, rng, state):
+        """Held-out loss of one batch: the training objective on ``rng``'s draws.
+
+        Side-effect free: only the spec's main loss runs, so a GAN's
+        discriminator is consulted, never stepped.
+        """
+        return spec.compute(batch, spec.draw(batch, rng, state), state)
 
     # ------------------------------------------------------------------
     # Helpers shared by the window-based baselines

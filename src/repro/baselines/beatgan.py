@@ -103,33 +103,14 @@ class BeatGANDetector(BaseDetector):
             idx = self._subsample_indices(flat.shape[0], self.max_train_windows)
             flat = flat[idx]
 
-        generator_params = self._trainer_parameters()
+        # The Trainer owns only the generator optimizer; the spec's adversary
+        # round takes this Adam step on the discriminator before every
+        # generator loss, the alternation of the original loop.
         self._discriminator_opt = Adam(self._discriminator.parameters(),
                                        lr=self.learning_rate)
-
-        def adversarial_loss(batch, state):
-            """Discriminator update inline, then the generator loss.
-
-            The shared Trainer owns only the generator optimizer; the
-            discriminator takes its own Adam step here before the generator
-            loss is formed, exactly the alternation of the original loop.
-            """
-            self._discriminator_opt.zero_grad()
-            d_loss = self._adversary_loss(batch, (), state)
-            d_loss.backward()
-            self._discriminator_opt.step()
-            return self._generator_loss(batch, (), state)
-
-        def validation_loss(batch, state):
-            # Side-effect-free generator objective for the held-out pass:
-            # same reconstruction + adversarial terms, but the discriminator
-            # is only consulted, never stepped.
-            return self._generator_loss(batch, (), state)
-
-        self._run_trainer(generator_params, adversarial_loss, (flat,),
-                          epochs=self.epochs, batch_size=self.batch_size,
-                          learning_rate=self.learning_rate,
-                          val_loss_fn=validation_loss)
+        self._run_trainer((flat,), epochs=self.epochs,
+                          batch_size=self.batch_size,
+                          learning_rate=self.learning_rate)
 
     def _score(self, test: np.ndarray) -> np.ndarray:
         num_features = test.shape[1]

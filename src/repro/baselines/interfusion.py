@@ -83,33 +83,30 @@ class InterFusionDetector(BaseDetector):
         return list(self._parameters)
 
     def _draw_vae_noise(self, batch, rng: np.random.Generator, state):
-        """Both reparameterisation draws of one batch, in the serial order.
+        """Both reparameterisation draws of one batch, drawn in the parent.
 
-        The serial ELBO draws metric noise ``(B, L, mz)`` first and temporal
-        noise ``(B, tz)`` second from the same stream; pre-drawing in that
-        order keeps the spec path bit-identical.
+        Metric noise ``(B, L, mz)`` first and temporal noise ``(B, tz)``
+        second from the same stream.
         """
         length = batch.data.shape[1]
         return (rng.standard_normal((batch.size, length, self.metric_latent_dim)),
                 rng.standard_normal((batch.size, self.temporal_latent_dim)))
 
     def _spec_elbo_loss(self, batch, payload, state):
-        return self._hierarchical_elbo(batch.data, noise=payload)
-
-    def _hierarchical_elbo(self, data: np.ndarray, noise=None):
+        data = batch.data
         reconstruction, metric_mu, metric_logvar, temporal_mu, temporal_logvar = \
-            self._encode_decode(data, sample=True, noise=noise)
+            self._encode_decode(data, noise=payload)
         return F.mse_loss(reconstruction, Tensor(data)) \
             + self.kl_weight * F.kl_divergence_normal(metric_mu.reshape(-1, self.metric_latent_dim),
                                                       metric_logvar.reshape(-1, self.metric_latent_dim)) \
             + self.kl_weight * F.kl_divergence_normal(temporal_mu, temporal_logvar)
 
-    def _encode_decode(self, batch: np.ndarray, sample: bool = True, noise=None):
+    def _encode_decode(self, batch: np.ndarray, noise=None):
         """Return the reconstruction plus the variational statistics.
 
-        ``noise`` optionally injects the pre-drawn ``(metric, temporal)``
-        reparameterisation noise pair; when omitted (the serial path) both
-        draws come from ``self.rng`` in the same order.
+        ``noise`` is the pre-drawn ``(metric, temporal)`` reparameterisation
+        noise pair of training; without it (scoring) both latents are their
+        means.
         """
         batch_size, length, _ = batch.shape
         x = Tensor(batch)
@@ -117,20 +114,16 @@ class InterFusionDetector(BaseDetector):
         metric_stats = self._metric_encoder(x)                       # (B, L, 2*mz)
         metric_mu = metric_stats[:, :, :self.metric_latent_dim]
         metric_logvar = metric_stats[:, :, self.metric_latent_dim:].clip(-6.0, 6.0)
-        if sample:
-            drawn = noise[0] if noise is not None \
-                else self.rng.standard_normal(metric_mu.shape)
-            metric_latent = metric_mu + (metric_logvar * 0.5).exp() * Tensor(drawn)
+        if noise is not None:
+            metric_latent = metric_mu + (metric_logvar * 0.5).exp() * Tensor(noise[0])
         else:
             metric_latent = metric_mu
 
         _, final_hidden = self._temporal_encoder(metric_latent)      # (B, hidden)
         temporal_mu = self._temporal_mu(final_hidden)
         temporal_logvar = self._temporal_logvar(final_hidden).clip(-6.0, 6.0)
-        if sample:
-            drawn = noise[1] if noise is not None \
-                else self.rng.standard_normal(temporal_mu.shape)
-            temporal_latent = temporal_mu + (temporal_logvar * 0.5).exp() * Tensor(drawn)
+        if noise is not None:
+            temporal_latent = temporal_mu + (temporal_logvar * 0.5).exp() * Tensor(noise[1])
         else:
             temporal_latent = temporal_mu
 
@@ -152,11 +145,8 @@ class InterFusionDetector(BaseDetector):
             idx = self._subsample_indices(windows.shape[0], self.max_train_windows)
             windows = windows[idx]
 
-        def hierarchical_elbo(batch, state):
-            return self._hierarchical_elbo(batch.data)
-
-        self._run_trainer(self._parameters, hierarchical_elbo, (windows,),
-                          epochs=self.epochs, batch_size=self.batch_size,
+        self._run_trainer((windows,), epochs=self.epochs,
+                          batch_size=self.batch_size,
                           learning_rate=self.learning_rate)
 
     def _score(self, test: np.ndarray) -> np.ndarray:
@@ -164,6 +154,6 @@ class InterFusionDetector(BaseDetector):
         window_errors = np.zeros((windows.shape[0], windows.shape[1]))
         for start in range(0, windows.shape[0], self.batch_size):
             chunk = slice(start, start + self.batch_size)
-            reconstruction, *_ = self._encode_decode(windows[chunk], sample=False)
+            reconstruction, *_ = self._encode_decode(windows[chunk])
             window_errors[chunk] = ((reconstruction.data - windows[chunk]) ** 2).mean(axis=2)
         return self._merge_window_scores(window_errors, starts, test.shape[0])

@@ -82,8 +82,7 @@ class LSTMADDetector(BaseDetector):
             idx = self._subsample_indices(inputs.shape[0], self.max_train_samples)
             inputs, targets = inputs[idx], targets[idx]
 
-        self._run_trainer(self._trainer_parameters(), self._forecast_loss,
-                          (inputs, targets),
+        self._run_trainer((inputs, targets),
                           epochs=self.epochs, batch_size=self.batch_size,
                           learning_rate=self.learning_rate)
 

@@ -86,10 +86,9 @@ class TranADDetector(BaseDetector):
             idx = self._subsample_indices(windows.shape[0], self.max_train_windows)
             windows = windows[idx]
 
-        self._run_trainer(self._trainer_parameters(), self._two_phase_loss, (windows,),
-                          epochs=self.epochs, batch_size=self.batch_size,
-                          learning_rate=self.learning_rate,
-                          val_loss_fn=self._validation_loss)
+        self._run_trainer((windows,), epochs=self.epochs,
+                          batch_size=self.batch_size,
+                          learning_rate=self.learning_rate)
 
     def _trainer_parameters(self):
         return (self._input_proj.parameters() + self._focus_proj.parameters()
@@ -107,7 +106,7 @@ class TranADDetector(BaseDetector):
         return (1.0 - phase2_weight) * F.mse_loss(phase1, target) \
             + phase2_weight * F.mse_loss(phase2, target)
 
-    def _validation_loss(self, batch, state):
+    def _validation_loss(self, spec, batch, rng, state):
         # Fixed ``blend`` weighting (the scoring-time combination): the
         # training schedule's moving phase-2 weight would make the
         # held-out curve drift epoch over epoch even at constant model

@@ -95,13 +95,13 @@ class ImputationScoreSpec(ScoreSpec):
     """The scoring pass of a fitted detector, factored for sharded inference.
 
     ``plan`` decomposes one batched scoring call into (mask policy, window
-    chunk) tasks in exactly the serial loop's order — policy-major, chunked
-    by ``config.batch_size``; ``draw`` pre-draws each task's reverse-diffusion
-    noise on the parent generator in that same order (so the random stream is
-    identical to the serial path for *every* worker count); ``compute`` is
-    the pure, rng-free imputation-error kernel of one task, delegating to
-    :meth:`ImDiffusionDetector._impute_window_errors` so the error formula
-    cannot drift between the serial and sharded paths.
+    chunk) tasks — policy-major, chunked by ``config.batch_size``; ``draw``
+    pre-draws each task's reverse-diffusion noise on the parent generator in
+    that same order (so the random stream is identical for *every* worker
+    count); ``compute`` is the pure, rng-free imputation-error kernel of one
+    task.  Offline scoring, the CRN holdout evaluation, the serving layer's
+    batched scorer and the scoring workers all run this one spec, so the
+    error formula cannot drift between them.
 
     The spec is spawn-safe: it ships the (picklable) fitted detector to each
     worker once at pool start-up; per-task messages carry only windows and
@@ -138,12 +138,25 @@ class ImputationScoreSpec(ScoreSpec):
             sampler=self.sampler, deterministic=self.deterministic)
 
     def compute(self, windows, task: ScoreTask, payload):
-        return {
-            progress: squared
-            for progress, squared in self.detector._impute_window_errors(
-                windows, self.masks[task.policy_index], task.policy_index,
-                rng=None, sampler=self.sampler, noise=payload)
-        }
+        """Squared imputation errors of one task, restricted to the masked region.
+
+        Keyed by progress, which counts visited steps from 1 (noisiest)
+        upward, so it stays dense even under a strided sampler.
+        """
+        mask = self.masks[task.policy_index]
+        result = self.detector._imputer.impute(
+            windows, np.broadcast_to(mask, windows.shape),
+            np.full(windows.shape[0], task.policy_index, dtype=np.int64),
+            rng=None,
+            collect=self.detector.config.collect,
+            deterministic=self.deterministic,
+            sampler=self.sampler,
+            noise=payload,
+        )
+        target_region = 1.0 - mask
+        return {progress: ((estimate - windows) ** 2) * target_region
+                for progress, (_, estimate) in enumerate(result.intermediate,
+                                                         start=1)}
 
 
 @dataclass
@@ -246,42 +259,14 @@ class ImDiffusionDetector:
             (windows,), config.validation_fraction, self._rng,
             split=config.validation_split)
 
-        masks = self._build_network(self._num_features)
-        model = self._imputer.model
-        optimizer = Adam(model.parameters(), lr=config.learning_rate)
-
-        # Mask policies are pre-stacked once so each batch gathers its masks
-        # with a single fancy-index instead of a per-item Python stack.  The
-        # loss spec makes the closure's random draws in the parent and its
-        # computation in-process or in spawned gradient workers
-        # (config.num_workers); at one worker the loop is bit-identical to
-        # the pre-engine hand-rolled loop.
-        masks_arr = np.stack(masks)
-        spec = ImputationLossSpec(self._imputer, masks_arr)
-
-        validate_fn = None
-        if val_arrays is not None:
-            validate_fn = self._make_validate_fn(val_arrays[0], masks_arr)
-
-        loader = WindowLoader(windows, batch_size=config.batch_size, rng=self._rng)
-        trainer = ParallelTrainer(
-            model.parameters(), optimizer, spec,
-            num_workers=config.num_workers,
-            grad_clip=config.grad_clip,
-            callbacks=self._build_callbacks(optimizer) + list(callbacks),
-            rng=self._rng,
-            validate_fn=validate_fn,
-        )
-        if resume_from is not None:
-            if isinstance(resume_from, (str, os.PathLike)):
-                snapshot_arrays, snapshot_metadata = load_checkpoint(str(resume_from))
-            else:
-                snapshot_arrays, snapshot_metadata = resume_from
-            trainer.load_state_dict(snapshot_arrays, snapshot_metadata)
-        result = trainer.fit(loader, epochs=config.epochs)
+        self._build_network(self._num_features)
+        optimizer = Adam(self._imputer.model.parameters(), lr=config.learning_rate)
+        result = self._train(windows, val_arrays, self._rng, optimizer,
+                             self._build_callbacks(optimizer) + list(callbacks),
+                             num_workers=config.num_workers,
+                             epochs=config.epochs, resume_from=resume_from)
         self.train_losses = list(result.epoch_losses)
         self.val_losses = list(result.val_losses)
-        self.last_train_result = result
         return self
 
     def fine_tune(self, recent: np.ndarray, epochs: int = 1,
@@ -354,39 +339,62 @@ class ImDiffusionDetector:
         (windows,), val_arrays = split_windows(
             (windows,), validation_fraction, rng, split="tail")
 
-        masks = build_masks(config, config.window_size, self._num_features)
-        masks_arr = np.stack(masks)
-        model = self._imputer.model
-        was_training = model.training
-        model.train()
-        optimizer = Adam(model.parameters(),
+        optimizer = Adam(self._imputer.model.parameters(),
                          lr=learning_rate if learning_rate is not None
                          else config.learning_rate)
-        spec = ImputationLossSpec(self._imputer, masks_arr)
-        validate_fn = None
-        if val_arrays is not None:
-            validate_fn = self._make_validate_fn(val_arrays[0], masks_arr)
         tune_callbacks = list(callbacks)
         if patience is not None:
             tune_callbacks.append(EarlyStopping(patience=patience,
                                                 restore_best=True))
+        result = self._train(windows, val_arrays, rng, optimizer, tune_callbacks,
+                             num_workers=num_workers if num_workers is not None
+                             else config.num_workers,
+                             epochs=epochs)
+        self.train_losses.extend(result.epoch_losses)
+        self.val_losses.extend(result.val_losses)
+        return result
+
+    def _train(self, windows: np.ndarray, val_arrays, rng: np.random.Generator,
+               optimizer, callbacks: Sequence, *, num_workers: int,
+               epochs: int, resume_from=None):
+        """One training pass of the denoiser, shared by :meth:`fit` and :meth:`fine_tune`.
+
+        The loss is always :class:`ImputationLossSpec` under a
+        :class:`~repro.training.ParallelTrainer`; ``num_workers`` picks only
+        its gradient reducer (in-process at one worker, spawned gradient
+        workers above).  Mask policies are pre-stacked once so each batch
+        gathers its masks with a single fancy-index.  The model trains in
+        train mode and returns to its previous mode afterwards.
+        """
+        config = self.config
+        spec = ImputationLossSpec(self._imputer, np.stack(build_masks(
+            config, config.window_size, self._num_features)))
+        validate_fn = None
+        if val_arrays is not None:
+            validate_fn = self._make_validate_fn(val_arrays[0], spec)
         loader = WindowLoader(windows, batch_size=config.batch_size, rng=rng)
+        model = self._imputer.model
         trainer = ParallelTrainer(
             model.parameters(), optimizer, spec,
-            num_workers=num_workers if num_workers is not None
-            else config.num_workers,
+            num_workers=num_workers,
             grad_clip=config.grad_clip,
-            callbacks=tune_callbacks,
+            callbacks=callbacks,
             rng=rng,
             validate_fn=validate_fn,
         )
+        if resume_from is not None:
+            if isinstance(resume_from, (str, os.PathLike)):
+                snapshot_arrays, snapshot_metadata = load_checkpoint(str(resume_from))
+            else:
+                snapshot_arrays, snapshot_metadata = resume_from
+            trainer.load_state_dict(snapshot_arrays, snapshot_metadata)
+        was_training = model.training
+        model.train()
         try:
             result = trainer.fit(loader, epochs=epochs)
         finally:
             if not was_training:
                 model.eval()
-        self.train_losses.extend(result.epoch_losses)
-        self.val_losses.extend(result.val_losses)
         self.last_train_result = result
         return result
 
@@ -410,36 +418,50 @@ class ImDiffusionDetector:
         if series.shape[0] < config.window_size:
             raise ValueError("series is shorter than one window")
         scaled = self._scaler.transform(series)
-        stride = recommended_stride(config)
-        windows, _ = sliding_windows(scaled, config.window_size, stride)
-        masks = build_masks(config, config.window_size, self._num_features)
-        sampler = config.build_sampler()
-        rng = np.random.default_rng(seed)
+        windows, _ = sliding_windows(scaled, config.window_size,
+                                     recommended_stride(config))
+        spec = ImputationScoreSpec(self)
+        total, count = 0.0, 0.0
 
+        def add_final_step(task, step_squared):
+            # Plan order, one task at a time: the float order of the sums
+            # stays that of a plain policy-major loop over window chunks.
+            nonlocal total, count
+            total += float(step_squared[max(step_squared)].sum())
+            count += float((1.0 - spec.masks[task.policy_index]).sum()) * task.size
+
+        self._run_score_spec(spec, windows, np.random.default_rng(seed),
+                             add_final_step)
+        return total / max(count, 1.0)
+
+    def _run_score_spec(self, spec: ImputationScoreSpec, windows: np.ndarray,
+                        rng: np.random.Generator, on_result,
+                        score_workers: int = 1) -> None:
+        """Run ``spec``'s task plan over ``windows`` with the denoiser in eval mode.
+
+        ``score_workers`` picks only the executor — in-process
+        (:class:`~repro.inference.SerialScoreReducer`) or a spawned pool
+        (:class:`~repro.inference.MultiprocessScoreReducer`); ``on_result``
+        receives every task's errors in plan order either way.
+        """
+        reducer = (SerialScoreReducer(spec) if score_workers == 1
+                   else MultiprocessScoreReducer(spec, score_workers))
         model = self._imputer.model
         was_training = model.training
         model.eval()
-        total, count = 0.0, 0.0
         try:
-            for policy_index, mask in enumerate(masks):
-                target_elements = float((1.0 - mask).sum())
-                for chunk_start in range(0, windows.shape[0], config.batch_size):
-                    chunk = windows[chunk_start:chunk_start + config.batch_size]
-                    final = None
-                    for _, squared in self._impute_window_errors(
-                            chunk, mask, policy_index, rng, sampler=sampler):
-                        final = squared
-                    total += float(final.sum())
-                    count += target_elements * chunk.shape[0]
+            with reducer:
+                reducer.window_errors(windows, rng, on_result=on_result)
         finally:
             if was_training:
                 model.train()
-        return total / max(count, 1.0)
 
-    def _make_validate_fn(self, val_windows: np.ndarray, masks_arr: np.ndarray):
+    def _make_validate_fn(self, val_windows: np.ndarray,
+                          spec: ImputationLossSpec):
         """Held-out denoising loss, evaluated grad-free at each epoch end.
 
-        The pass re-seeds a dedicated common-random-numbers generator
+        The training objective ``spec`` on validation draws: the pass
+        re-seeds a dedicated common-random-numbers generator
         (:func:`repro.training.crn_validation_rng`) on every call, so each
         epoch sees identical noise/timestep/policy draws — the curve is
         comparable across epochs — and the training random stream is never
@@ -450,7 +472,6 @@ class ImDiffusionDetector:
         random stream consumed is identical either way.
         """
         config = self.config
-        num_policies = masks_arr.shape[0]
         val_loader = WindowLoader(val_windows, batch_size=config.batch_size,
                                   shuffle=False)
 
@@ -463,22 +484,15 @@ class ImDiffusionDetector:
             try:
                 with no_grad():
                     for batch in val_loader:
-                        policies = rng.integers(0, num_policies, size=batch.size)
+                        policies, steps, noise = spec.draw(batch, rng, state)
                         if config.validation_antithetic:
-                            # draw_training_noise makes exactly the draws
-                            # training_loss(rng) would, so the CRN stream is
-                            # bit-identical with the flag on or off.
-                            steps, noise = self._imputer.draw_training_noise(
-                                batch.data, rng)
                             value = antithetic_loss(
-                                lambda s, z: float(self._imputer.training_loss(
-                                    batch.data, masks_arr[policies], policies,
-                                    steps=s, noise=z).data),
+                                lambda s, z: float(spec.compute(
+                                    batch, (policies, s, z), state).data),
                                 steps, noise)
                         else:
-                            value = float(self._imputer.training_loss(
-                                batch.data, masks_arr[policies], policies,
-                                rng).data)
+                            value = float(spec.compute(
+                                batch, (policies, steps, noise), state).data)
                         total += value * batch.size
                         count += batch.size
             finally:
@@ -523,7 +537,7 @@ class ImDiffusionDetector:
 
         Shared by :meth:`fit` and checkpoint restoration so a deserialised
         detector rebuilds exactly the architecture that was trained.  Returns
-        the mask set so :meth:`fit` can reuse it for training.
+        the mask set the policy embedding was sized for.
         """
         config = self.config
         masks = build_masks(config, config.window_size, num_features)
@@ -614,13 +628,13 @@ class ImDiffusionDetector:
         and every reverse-diffusion call executes under
         :class:`repro.nn.no_grad`, so no autograd graph is ever built.
 
-        ``score_workers > 1`` fans the (mask policy, window chunk) task plan
-        out across that many spawned scoring workers (see
-        :mod:`repro.inference`).  All randomness is still drawn on the
-        detector's generator in the serial order and results are accumulated
-        in the serial order, so the scores — and the generator state
-        afterwards — are identical to the serial path for every worker
-        count.
+        ``score_workers`` picks only the executor of the (mask policy, window
+        chunk) task plan of :class:`ImputationScoreSpec`: one worker runs it
+        in-process, more fan it out across that many spawned scoring workers
+        (see :mod:`repro.inference`).  All randomness is drawn on the
+        detector's generator in plan order and results are accumulated in
+        plan order, so the scores — and the generator state afterwards — are
+        identical for every worker count.
         """
         self._check_fitted()
         if score_workers < 1:
@@ -634,89 +648,35 @@ class ImDiffusionDetector:
         scaled = self._scaler.transform(test)
         stride = recommended_stride(config)
         windows, starts = sliding_windows(scaled, config.window_size, stride)
-        masks = build_masks(config, config.window_size, self._num_features)
+        spec = ImputationScoreSpec(self)
 
         length = scaled.shape[0]
         window = config.window_size
-        sampler = config.build_sampler()
-        num_collected = sampler.num_inference_steps(config.num_steps)
+        num_collected = spec.sampler.num_inference_steps(config.num_steps)
         error_sum = {k: np.zeros((length, self._num_features))
                      for k in range(1, num_collected + 1)}
         masked_count = np.zeros((length, self._num_features))
 
-        model = self._imputer.model
-        was_training = model.training
-        model.eval()
-        try:
-            if score_workers == 1:
-                for policy_index, mask in enumerate(masks):
-                    target_region = 1.0 - mask
-                    for chunk_start in range(0, windows.shape[0], config.batch_size):
-                        chunk = windows[chunk_start:chunk_start + config.batch_size]
-                        chunk_starts = starts[chunk_start:chunk_start + config.batch_size]
-                        for progress, squared in self._impute_window_errors(
-                                chunk, mask, policy_index, self._rng, sampler=sampler):
-                            for window_error, start in zip(squared, chunk_starts):
-                                error_sum[progress][start:start + window] += window_error
-                        for start in chunk_starts:
-                            masked_count[start:start + window] += target_region
-            else:
-                def scatter_add(task, step_squared):
-                    # Replicates the serial inner accumulation exactly: for
-                    # each progress (trajectory order), each window of the
-                    # chunk scatter-adds at its start offset.
-                    chunk_starts = starts[task.start:task.stop]
-                    for progress, squared in step_squared.items():
-                        for window_error, start in zip(squared, chunk_starts):
-                            error_sum[progress][start:start + window] += window_error
+        def scatter_add(task, step_squared):
+            # For each progress (trajectory order), each window of the chunk
+            # scatter-adds at its start offset.
+            chunk_starts = starts[task.start:task.stop]
+            for progress, squared in step_squared.items():
+                for window_error, start in zip(squared, chunk_starts):
+                    error_sum[progress][start:start + window] += window_error
 
-                reducer = MultiprocessScoreReducer(
-                    ImputationScoreSpec(self), score_workers)
-                with reducer:
-                    reducer.window_errors(windows, self._rng,
-                                          on_result=scatter_add)
-                for mask in masks:
-                    target_region = 1.0 - mask
-                    for start in starts:
-                        masked_count[start:start + window] += target_region
-        finally:
-            if was_training:
-                model.train()
+        self._run_score_spec(spec, windows, self._rng, scatter_add,
+                             score_workers)
+        for mask in spec.masks:
+            target_region = 1.0 - mask
+            for start in starts:
+                masked_count[start:start + window] += target_region
 
         coverage = np.maximum(masked_count.sum(axis=1), 1.0)
         step_errors: Dict[int, np.ndarray] = {}
         for progress, totals in error_sum.items():
             step_errors[progress] = totals.sum(axis=1) / coverage
         return step_errors
-
-    def _impute_window_errors(self, chunk: np.ndarray, mask: np.ndarray,
-                              policy_index: int,
-                              rng: Optional[np.random.Generator],
-                              sampler=None, noise=None):
-        """Run one mask policy over a chunk of windows.
-
-        Yields ``(progress, squared)`` pairs with ``squared`` of shape
-        ``(chunk, window, features)``, restricted to the masked region.
-        Progress counts visited steps from 1 (noisiest) upward, so it stays
-        dense even under a strided sampler.  Shared by offline scoring, the
-        serving layer's batched scorer and the sharded inference workers
-        (which pass pre-drawn ``noise`` and no ``rng``) so the
-        imputation-error formula cannot drift between the paths.
-        """
-        config = self.config
-        sampler = sampler or config.build_sampler()
-        target_region = 1.0 - mask
-        batch_masks = np.broadcast_to(mask, chunk.shape)
-        policies = np.full(chunk.shape[0], policy_index, dtype=np.int64)
-        result = self._imputer.impute(
-            chunk, batch_masks, policies, rng,
-            collect=config.collect,
-            deterministic=config.deterministic_inference,
-            sampler=sampler,
-            noise=noise,
-        )
-        for progress, (_, estimate) in enumerate(result.intermediate, start=1):
-            yield progress, ((estimate - chunk) ** 2) * target_region
 
     # ------------------------------------------------------------------
     # Prediction

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import uuid
 from typing import Dict, Tuple
 
 import numpy as np
@@ -17,6 +19,7 @@ __all__ = [
     "load_state_dict",
     "save_checkpoint",
     "atomic_save_checkpoint",
+    "exclusive_save_checkpoint",
     "load_checkpoint",
     "load_checkpoint_metadata",
 ]
@@ -58,19 +61,54 @@ def save_checkpoint(path: str, arrays: Dict[str, np.ndarray], metadata: dict) ->
     save_state_dict(payload, path)
 
 
+def _publish_checkpoint(path: str, arrays: Dict[str, np.ndarray],
+                        metadata: dict, publish):
+    """Write the archive to a private temp file, then ``publish(tmp, path)``.
+
+    Each writer gets its own temp name, so concurrent writers of one path
+    never share (and clobber) a half-written archive; the temp file is
+    removed whether or not publishing succeeded.  Returns what ``publish``
+    returns.
+    """
+    tmp_path = f"{path}.{uuid.uuid4().hex}.tmp.npz"  # np.savez keeps a .npz name
+    try:
+        save_checkpoint(tmp_path, arrays, metadata)
+        return publish(tmp_path, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp_path)
+
+
 def atomic_save_checkpoint(path: str, arrays: Dict[str, np.ndarray],
                            metadata: dict) -> None:
     """:func:`save_checkpoint` through a temp file + atomic rename.
 
-    A reader never observes a half-written archive: the payload lands in
-    ``<path>.tmp.npz`` first and is moved over ``path`` with ``os.replace``
+    A reader never observes a half-written archive: the payload lands in a
+    private temp file first and is moved over ``path`` with ``os.replace``
     (publishing a new checkpoint is an atomic file swap).  Used by both the
     serving :class:`~repro.serving.ModelRegistry` and the training
     :class:`~repro.training.Checkpoint` callback.
     """
-    tmp_path = path + ".tmp.npz"  # np.savez appends .npz to bare names
-    save_checkpoint(tmp_path, arrays, metadata)
-    os.replace(tmp_path, path)
+    _publish_checkpoint(path, arrays, metadata, os.replace)
+
+
+def exclusive_save_checkpoint(path: str, arrays: Dict[str, np.ndarray],
+                              metadata: dict) -> bool:
+    """:func:`save_checkpoint` to a path that must not exist yet.
+
+    The payload lands in a private temp file and is hard-linked to ``path``;
+    ``os.link`` fails atomically when ``path`` exists, so of two writers
+    racing for one name exactly one wins and neither overwrites the other.
+    Returns ``False`` (and writes nothing) when ``path`` is already taken.
+    """
+    def link(tmp_path: str, target: str) -> bool:
+        try:
+            os.link(tmp_path, target)
+        except FileExistsError:
+            return False
+        return True
+
+    return _publish_checkpoint(path, arrays, metadata, link)
 
 
 def load_checkpoint(path: str) -> Tuple[Dict[str, np.ndarray], dict]:

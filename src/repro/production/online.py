@@ -44,7 +44,7 @@ from ..evaluation.runner import RunMetrics
 __all__ = ["OnlineEvaluation", "run_online_evaluation", "compare_with_legacy"]
 
 #: Default size of the sliding evaluation buffer (in samples).  At the
-#: paper's 30-second sampling this is roughly a week of telemetry — long
+#: paper's 30-second sampling this is about 8.5 hours of telemetry — long
 #: enough for stable thresholds, bounded so per-poll work never grows with
 #: the age of the stream.
 DEFAULT_EVAL_BUFFER = 1024

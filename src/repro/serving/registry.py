@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..core import ImDiffusionDetector
-from ..nn.serialization import (atomic_save_checkpoint, load_checkpoint,
+from ..nn.serialization import (atomic_save_checkpoint,
+                                exclusive_save_checkpoint, load_checkpoint,
                                 load_checkpoint_metadata)
 
 __all__ = ["ModelRecord", "ModelRegistry"]
@@ -88,14 +89,19 @@ class ModelRegistry:
         (publishing a retrained model is an atomic file replacement).
         """
         path = self._path(name)
+        atomic_save_checkpoint(path, *self._payload(name, detector, metadata))
+        return path
+
+    @staticmethod
+    def _payload(name: str, detector: ImDiffusionDetector,
+                 metadata: Optional[dict]):
         arrays, meta = detector.to_checkpoint()
         meta["registry"] = {
             "name": name,
             "created_at": time.time(),
             "extra": metadata or {},
         }
-        atomic_save_checkpoint(path, arrays, meta)
-        return path
+        return arrays, meta
 
     def load(self, name: str) -> ImDiffusionDetector:
         """Rebuild the fitted detector registered under ``name``."""
@@ -179,14 +185,22 @@ class ModelRegistry:
 
         Versions are immutable and dense: the first publish creates
         ``name.v1``, the next ``name.v2``, and so on.  Returns the new
-        version number.
+        version number.  Each version file is created exclusively, so
+        publishers sharing a root never overwrite one another: one that
+        finds its number already taken (it read :meth:`latest_version`
+        before another publish landed) retries on the next number.
         """
         version = (self.latest_version(name) or 0) + 1
-        extra = dict(metadata or {})
-        extra.setdefault("model", name)
-        extra.setdefault("version", version)
-        self.save(self.version_name(name, version), detector, extra)
-        return version
+        while True:
+            extra = dict(metadata or {})
+            extra.setdefault("model", name)
+            extra.setdefault("version", version)
+            versioned = self.version_name(name, version)
+            if exclusive_save_checkpoint(
+                    self._path(versioned),
+                    *self._payload(versioned, detector, extra)):
+                return version
+            version += 1
 
     def load_version(self, name: str, version: int) -> ImDiffusionDetector:
         """Rebuild one published version; raises ``KeyError`` if its

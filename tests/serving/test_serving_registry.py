@@ -1,11 +1,13 @@
 """Tests for the model registry: checkpoint round-trips and cataloguing."""
 
+import copy
 import os
 
 import numpy as np
 import pytest
 
 from repro import ImDiffusionConfig, ImDiffusionDetector
+from repro.nn.serialization import load_checkpoint_metadata
 from repro.serving import ModelRegistry
 
 
@@ -92,6 +94,36 @@ class TestCatalogue:
         registry.save("monitor", fitted_detector)
         assert registry.record("monitor").created_at >= first
         assert registry.list_models() == ["monitor"]
+
+
+class TestVersions:
+    def test_stale_publisher_never_overwrites_a_version(self, fitted_detector,
+                                                        tmp_path):
+        # Two publishers on one root; the second read latest_version before
+        # the first published, so it computes the number the first just took.
+        root = str(tmp_path / "models")
+        first, second = ModelRegistry(root), ModelRegistry(root)
+        stale = second.latest_version("served")
+        second.latest_version = lambda name: stale
+        retrained = copy.deepcopy(fitted_detector)
+        for parameter in retrained.model.parameters():
+            parameter.data = parameter.data + 1.0
+
+        assert first.publish_version("served", fitted_detector) == 1
+        assert second.publish_version("served", retrained) == 2
+
+        assert first.versions("served") == [1, 2]
+        for version, source in ((1, fitted_detector), (2, retrained)):
+            loaded = first.load_version("served", version)
+            for a, b in zip(loaded.model.parameters(),
+                            source.model.parameters()):
+                np.testing.assert_array_equal(a.data, b.data)
+            extra = load_checkpoint_metadata(
+                first.record(f"served.v{version}").path)["registry"]["extra"]
+            assert extra["version"] == version
+        # Every writer used a private temp file, and none is left behind.
+        assert sorted(os.listdir(root)) == ["served.v1.ckpt.npz",
+                                            "served.v2.ckpt.npz"]
 
 
 class TestErrors:

@@ -8,6 +8,9 @@ The contract under test mirrors the data-parallel training engine:
 * :class:`SerialScoreReducer` reproduces the pre-engine inline scoring loop
   bit for bit, and :class:`MultiprocessScoreReducer` reproduces the serial
   reducer for **every** worker count (1-worker = the bit-identity gate),
+* ``ImDiffusionDetector.score`` and ``holdout_error`` run only through the
+  reducers; frozen copies of the inline loops they replaced stay here as the
+  reference (step errors, labels, holdout values and generator state),
 * parameters cross to the workers through the shared-memory transport, so
   per-step pipe messages do not scale with the parameter count (gradient
   and scoring reducers alike),
@@ -17,6 +20,8 @@ The contract under test mirrors the data-parallel training engine:
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import pickle
 import subprocess
 import sys
@@ -27,7 +32,8 @@ import pytest
 
 from repro import ImDiffusionConfig, ImDiffusionDetector
 from repro.core.detector import ImputationLossSpec, ImputationScoreSpec
-from repro.core.modes import build_masks
+from repro.core.modes import build_masks, recommended_stride
+from repro.data.windows import sliding_windows
 from repro.diffusion import ImputeNoise
 from repro.inference import (
     MultiprocessScoreReducer,
@@ -65,6 +71,94 @@ def _windows(fitted, count=10, seed=5):
     config = fitted.config
     return np.random.default_rng(seed).standard_normal(
         (count, config.window_size, fitted.num_features))
+
+
+# ---------------------------------------------------------------------------
+# Frozen pre-reducer detector loops (verbatim copies, the references)
+# ---------------------------------------------------------------------------
+def _legacy_window_errors(detector, chunk, mask, policy_index, rng, sampler):
+    """The inline per-chunk imputation: noise drawn on the live generator."""
+    config = detector.config
+    target_region = 1.0 - mask
+    batch_masks = np.broadcast_to(mask, chunk.shape)
+    policies = np.full(chunk.shape[0], policy_index, dtype=np.int64)
+    result = detector._imputer.impute(
+        chunk, batch_masks, policies, rng,
+        collect=config.collect,
+        deterministic=config.deterministic_inference,
+        sampler=sampler,
+    )
+    for progress, (_, estimate) in enumerate(result.intermediate, start=1):
+        yield progress, ((estimate - chunk) ** 2) * target_region
+
+
+def _legacy_score(detector, test):
+    """The ``score_workers=1`` inline loop of ``ImDiffusionDetector.score``."""
+    config = detector.config
+    scaled = detector._scaler.transform(np.asarray(test, dtype=np.float64))
+    windows, starts = sliding_windows(scaled, config.window_size,
+                                      recommended_stride(config))
+    masks = build_masks(config, config.window_size, detector.num_features)
+    length = scaled.shape[0]
+    window = config.window_size
+    sampler = config.build_sampler()
+    num_collected = sampler.num_inference_steps(config.num_steps)
+    error_sum = {k: np.zeros((length, detector.num_features))
+                 for k in range(1, num_collected + 1)}
+    masked_count = np.zeros((length, detector.num_features))
+    detector._imputer.model.eval()
+    for policy_index, mask in enumerate(masks):
+        target_region = 1.0 - mask
+        for chunk_start in range(0, windows.shape[0], config.batch_size):
+            chunk = windows[chunk_start:chunk_start + config.batch_size]
+            chunk_starts = starts[chunk_start:chunk_start + config.batch_size]
+            for progress, squared in _legacy_window_errors(
+                    detector, chunk, mask, policy_index, detector._rng, sampler):
+                for window_error, start in zip(squared, chunk_starts):
+                    error_sum[progress][start:start + window] += window_error
+            for start in chunk_starts:
+                masked_count[start:start + window] += target_region
+    coverage = np.maximum(masked_count.sum(axis=1), 1.0)
+    return {progress: totals.sum(axis=1) / coverage
+            for progress, totals in error_sum.items()}
+
+
+def _legacy_holdout_error(detector, series, seed):
+    """The inline loop of ``ImDiffusionDetector.holdout_error``."""
+    config = detector.config
+    scaled = detector._scaler.transform(np.asarray(series, dtype=np.float64))
+    windows, _ = sliding_windows(scaled, config.window_size,
+                                 recommended_stride(config))
+    masks = build_masks(config, config.window_size, detector.num_features)
+    sampler = config.build_sampler()
+    rng = np.random.default_rng(seed)
+    detector._imputer.model.eval()
+    total, count = 0.0, 0.0
+    for policy_index, mask in enumerate(masks):
+        target_elements = float((1.0 - mask).sum())
+        for chunk_start in range(0, windows.shape[0], config.batch_size):
+            chunk = windows[chunk_start:chunk_start + config.batch_size]
+            final = None
+            for _, squared in _legacy_window_errors(
+                    detector, chunk, mask, policy_index, rng, sampler):
+                final = squared
+            total += float(final.sum())
+            count += target_elements * chunk.shape[0]
+    return total / max(count, 1.0)
+
+
+#: Stochastic (full, eta > 0 DDIM) and history-carrying (PNDM) trajectories.
+SAMPLERS = {
+    "full": {},
+    "ddim": dict(sampler="ddim", num_inference_steps=2, ddim_eta=0.5),
+    "pndm": dict(sampler="pndm", num_inference_steps=3),
+}
+
+
+def _with_sampler(fitted, name):
+    detector = copy.deepcopy(fitted)
+    detector.config = dataclasses.replace(detector.config, **SAMPLERS[name])
+    return detector
 
 
 class ExplodingSpec(ImputationScoreSpec):
@@ -181,8 +275,8 @@ class TestSerialScoreReducer:
         for policy_index, mask in enumerate(masks):
             for chunk_start in range(0, batch, config.batch_size):
                 chunk = windows[chunk_start:chunk_start + config.batch_size]
-                for progress, squared in fitted._impute_window_errors(
-                        chunk, mask, policy_index, rng_legacy, sampler=sampler):
+                for progress, squared in _legacy_window_errors(
+                        fitted, chunk, mask, policy_index, rng_legacy, sampler):
                     if progress not in legacy:
                         legacy[progress] = np.zeros(
                             (batch,) + squared.shape[1:])
@@ -289,6 +383,38 @@ class TestDetectorScoreWorkers:
                                   pooled.step_errors[progress])
         assert (serial_det._rng.bit_generator.state
                 == pooled_det._rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("sampler", sorted(SAMPLERS))
+class TestFrozenDetectorLoops:
+    """The one reducer path of score/holdout_error vs the inline loops it replaced."""
+
+    def test_score_matches_the_frozen_serial_loop(self, fitted, test_series,
+                                                  sampler):
+        legacy_det = _with_sampler(fitted, sampler)
+        legacy_det.score = lambda test, score_workers=1: _legacy_score(
+            legacy_det, test)
+        new_det = _with_sampler(fitted, sampler)
+        legacy = legacy_det.predict(test_series)
+        new = new_det.predict(test_series)
+        assert list(new.step_errors) == list(legacy.step_errors)
+        for progress in legacy.step_errors:
+            assert np.array_equal(new.step_errors[progress],
+                                  legacy.step_errors[progress])
+        assert np.array_equal(new.labels, legacy.labels)
+        assert (new_det._rng.bit_generator.state
+                == legacy_det._rng.bit_generator.state)
+        assert new_det.model.training == fitted.model.training
+
+    def test_holdout_matches_the_frozen_loop_and_spares_the_rng(
+            self, fitted, test_series, sampler):
+        detector = _with_sampler(fitted, sampler)
+        before = copy.deepcopy(detector._rng.bit_generator.state)
+        value = detector.holdout_error(test_series, seed=7)
+        assert detector._rng.bit_generator.state == before
+        assert value == _legacy_holdout_error(
+            _with_sampler(fitted, sampler), test_series, seed=7)
+        assert detector.model.training == fitted.model.training
 
 
 # ---------------------------------------------------------------------------

@@ -314,10 +314,8 @@ class TestBaselineParallelism:
         detector = IsolationForestDetector(seed=0)
         detector.num_workers = 2  # IForest takes no num_workers knob
         assert not detector.supports_parallel
-        dummy = Tensor(np.zeros(2), requires_grad=True)
         with pytest.raises(ValueError, match="no gradient"):
-            detector._run_trainer([dummy], lambda batch, state: None,
-                                  (np.zeros((4, 2)),),
+            detector._run_trainer((np.zeros((4, 2)),),
                                   epochs=1, batch_size=2, learning_rate=1e-3)
 
     def test_every_detector_declares_parallel_support(self):
