@@ -91,10 +91,10 @@ class GDNDetector(BaseDetector):
         neighbour_info = Tensor(np.broadcast_to(weights, (batch, num_sensors, num_sensors)).copy()) \
             .matmul(hidden)
 
-        embeddings = Tensor(np.broadcast_to(self._sensor_embedding.data,
-                                            (batch, num_sensors, self.embedding_dim)).copy())
         combined = hidden + neighbour_info
-        fused = combined * self._embedding_gate(embeddings)
+        # The (sensors, hidden) gate broadcasts over the batch, and autograd
+        # sums its gradient back onto the embedding parameter.
+        fused = combined * self._embedding_gate(self._sensor_embedding)
         return self._output_head(fused).squeeze(2)
 
     def _embedding_gate(self, embeddings: Tensor) -> Tensor:

@@ -1,16 +1,16 @@
-"""Sharded inference: data-parallel scoring over spawn-safe worker pools.
+"""Sharded inference and the one worker protocol.
 
-The inference-side sibling of the training package's gradient-reducer seam:
-
-* :class:`WorkerPool` — spawn-started daemon workers with idempotent,
-  atexit-guaranteed cleanup (shared with the training reducer),
+* :class:`WorkerPool` — the spawned workers of both data-parallel engines
+  (gradient and scoring): they read the parent's parameters from one
+  shared-memory block, answer requests through a picklable
+  :class:`WorkerHandler`, fail loudly when a worker dies, and are closed at
+  exit if their owner leaks them,
 * :class:`ScoreSpec` / :class:`ScoreTask` — one batched scoring call
   factored into parent-side randomness and pure worker-side kernels,
 * :class:`SerialScoreReducer` — the in-process path, bit-identical to the
   pre-engine inline scoring loop,
-* :class:`MultiprocessScoreReducer` — the same plan fanned out round-robin
-  across a persistent scoring-worker pool, with parameters shipped through
-  the zero-copy shared-memory transport of :mod:`repro.nn.shm`.
+* :class:`MultiprocessScoreReducer` — the same plan pipelined round-robin
+  through a :class:`WorkerPool` of scoring workers.
 
 See the README's "Sharded inference" section for the determinism contract
 and guidance on when extra score workers help.
@@ -23,7 +23,7 @@ from .parallel import (
     ScoreTask,
     SerialScoreReducer,
 )
-from .pool import WorkerPool, register_cleanup, unregister_cleanup
+from .pool import WorkerHandler, WorkerPool
 
 __all__ = [
     "MultiprocessScoreReducer",
@@ -31,7 +31,6 @@ __all__ = [
     "ScoreSpec",
     "ScoreTask",
     "SerialScoreReducer",
+    "WorkerHandler",
     "WorkerPool",
-    "register_cleanup",
-    "unregister_cleanup",
 ]

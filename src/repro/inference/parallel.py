@@ -1,26 +1,26 @@
 """The sharded inference engine: the ``ScoreReducer`` family.
 
-Scoring dominates serving latency — every reverse-diffusion pass in
-``detector.score`` and the :class:`~repro.serving.service.DetectorService`
-hot path ran in a single process, while training has been data-parallel
-since the :class:`~repro.training.GradientReducer` seam landed.  This module
-mirrors that seam for inference:
+Every reverse-diffusion pass of ``detector.score``, the CRN holdout and the
+:class:`~repro.serving.service.DetectorService` hot path runs through one
+:class:`ScoreSpec`, and a reducer picks who executes it:
 
 * a :class:`ScoreSpec` factors one batched scoring call into a deterministic
   task ``plan`` ((mask policy, window chunk) pairs in the serial loop's
   order), a parent-side ``draw`` of each task's randomness, and a pure,
   rng-free ``compute`` kernel;
-* :class:`SerialScoreReducer` runs the plan in-process — bit-identical to
-  the pre-engine inline loop because the draws and the accumulation order
-  are exactly the serial ones;
-* :class:`MultiprocessScoreReducer` dispatches the same plan round-robin
-  across a persistent pool of spawn-started scoring workers.
+* :class:`SerialScoreReducer` runs the plan in-process;
+* :class:`MultiprocessScoreReducer` pipelines the same plan round-robin
+  through a :class:`~repro.inference.pool.WorkerPool` of scoring workers —
+  the one worker protocol the gradient reducer uses too, so the workers
+  read the parameters from the pool's shared-memory block and each task
+  message carries only the windows and the noise payload.
 
 Determinism contract: *all* randomness is drawn in the parent, in plan
 order, regardless of worker count; tasks are pure given their payload; and
 the parent consumes results in plan order.  Scores are therefore invariant
 across worker counts, and a 1-worker pool reproduces the serial path
-bit for bit (``np.array_equal``, gated in ``benchmarks/test_serving_scale``).
+bit for bit (``np.array_equal``, gated in
+``tests/test_inference_engine.py::TestMultiprocessScoreReducer``).
 The contract covers the whole sampler zoo, stochastic samplers included:
 which reverse transitions consume randomness is the sampler's
 ``samples_noise`` declaration, which ``draw`` honours through
@@ -29,24 +29,16 @@ which reverse transitions consume randomness is the sampler's
 like the adjacent-step DDPM draws.  Samplers with per-pass state (the PNDM
 eps history) re-initialise it per ``impute`` call, i.e. per task, so
 sharding cannot leak history across chunk boundaries.
-
-Parameters cross the process boundary through the zero-copy shared-memory
-transport of :mod:`repro.nn.shm`: workers attach once at pool start-up and
-every task message carries only the windows, the noise payload and the
-expected block generation — per-step pickling no longer scales with model
-size.
 """
 
 from __future__ import annotations
 
-import traceback
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from ..nn.shm import SharedParameterBlock, SharedParameterSpec, SharedParameterView
-from .pool import WorkerPool, register_cleanup, unregister_cleanup
+from .pool import WorkerHandler, WorkerPool
 
 __all__ = [
     "ScoreTask",
@@ -133,6 +125,25 @@ class ScoreReducer:
     def close(self) -> None:
         """Release resources acquired by :meth:`open`; idempotent."""
 
+    def refresh_parameters(self) -> int:
+        """Re-publish the parent parameters after an in-place weight swap.
+
+        Returns the new generation; workers pick the weights up on their
+        next task without restarting.  A reducer without workers publishes
+        nothing and returns 0.
+        """
+        return 0
+
+    @property
+    def generation(self) -> int:
+        """Generation of the last published parameter snapshot (0: none)."""
+        return 0
+
+    @property
+    def worker_pids(self) -> List[int]:
+        """PIDs of the live workers (empty without a pool)."""
+        return []
+
     def window_errors(self, windows: np.ndarray,
                       rng: Optional[np.random.Generator],
                       on_result: Optional[ResultFn] = None
@@ -196,43 +207,18 @@ class SerialScoreReducer(ScoreReducer):
         return totals
 
 
-def _score_worker_main(conn, spec: ScoreSpec,
-                       shm_spec: SharedParameterSpec) -> None:
-    """Scoring-worker loop: receive (generation, task, chunk, payload), reply errors.
+class _ScoreHandler(WorkerHandler):
+    """The scoring worker: one task's squared errors per request."""
 
-    Runs in a spawned subprocess.  The spec and the shared-memory handle
-    arrive pickled through the process arguments; the worker rebuilds the
-    model once, swaps its parameters to zero-copy views of the parent's
-    block, and then serves tasks until the ``None`` sentinel.  Start-up
-    failures are remembered and re-raised per task so the parent never loses
-    pipe lockstep; per-task exceptions ship back as formatted tracebacks.
-    """
-    view: Optional[SharedParameterView] = None
-    failure: Optional[str] = None
-    try:
-        parameters = spec.build()
-        view = SharedParameterView(shm_spec)
-        view.attach_to(parameters)
-    except Exception:  # noqa: BLE001 - reported on first task
-        failure = traceback.format_exc()
-    while True:
-        try:
-            message = conn.recv()
-        except EOFError:  # parent died / closed the pipe
-            break
-        if message is None:
-            break
-        generation, task, chunk, payload = message
-        try:
-            if failure is not None:
-                raise RuntimeError(
-                    "scoring worker failed to initialise:\n" + failure)
-            view.check_generation(generation)
-            conn.send(("ok", spec.compute(chunk, task, payload)))
-        except Exception:  # noqa: BLE001 - shipped to the parent verbatim
-            conn.send(("error", traceback.format_exc()))
-    if view is not None:
-        view.close()
+    def __init__(self, spec: ScoreSpec) -> None:
+        self.spec = spec
+
+    def build(self) -> List:
+        return self.spec.build()
+
+    def serve(self, request) -> Dict[int, np.ndarray]:
+        task, chunk, payload = request
+        return self.spec.compute(chunk, task, payload)
 
 
 class MultiprocessScoreReducer(ScoreReducer):
@@ -246,10 +232,10 @@ class MultiprocessScoreReducer(ScoreReducer):
     ``num_workers=1`` is valid and is exactly the serial computation moved
     into one spawned process (the bit-identity gate).
 
-    The pool persists across :meth:`window_errors` calls (``open``/``close``
-    or context manager), so a long-lived service pays the spawn cost once.
-    Parameters are published to a shared-memory block at :meth:`open`;
-    :meth:`refresh_parameters` re-publishes after a parent-side weight swap.
+    The :class:`~repro.inference.pool.WorkerPool` persists across
+    :meth:`window_errors` calls (``open``/``close`` or context manager), so
+    a long-lived service pays the spawn cost once.  A failed batch closes
+    it, and the next call opens a new one.
     """
 
     def __init__(self, spec: ScoreSpec, num_workers: int) -> None:
@@ -258,102 +244,66 @@ class MultiprocessScoreReducer(ScoreReducer):
         self.spec = spec
         self.num_workers = int(num_workers)
         self._pool: Optional[WorkerPool] = None
-        self._block: Optional[SharedParameterBlock] = None
-        self._generation = 0
 
     # ------------------------------------------------------------------
     def open(self) -> None:
-        if self._pool is not None:
-            return
-        try:
-            self._block = SharedParameterBlock(self.spec.parent_parameters())
-            self._generation = self._block.publish(self.spec.parent_parameters())
-            self._pool = WorkerPool(
-                _score_worker_main, (self.spec, self._block.spec()),
-                self.num_workers, name="score-worker")
-            self._pool.start()
-        except Exception:
-            self.close()
-            raise
-        register_cleanup(self)
+        if self._pool is None:
+            pool = WorkerPool(_ScoreHandler(self.spec),
+                              self.spec.parent_parameters(), self.num_workers,
+                              name="scoring worker")
+            pool.start()
+            self._pool = pool
 
     def refresh_parameters(self) -> int:
-        """Re-publish the parent parameters (after a hot weight swap).
-
-        Bumps the shared block's generation counter and returns it; workers
-        pick the new weights up on their next task without restarting.
-        """
-        if self._block is not None:
-            self._generation = self._block.publish(self.spec.parent_parameters())
-        return self._generation
+        if self._pool is None:
+            return 0
+        return self._pool.publish()
 
     @property
     def generation(self) -> int:
-        """Generation of the most recently published parameter snapshot."""
-        return self._generation
+        return 0 if self._pool is None else self._pool.generation
 
     @property
     def worker_pids(self) -> List[int]:
-        """PIDs of the live scoring workers (hot-swap tests assert these
-        stay fixed across a weight republish)."""
-        if self._pool is None:
-            return []
-        return [process.pid for process in self._pool._processes]
+        return [] if self._pool is None else self._pool.worker_pids
 
     def close(self) -> None:
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.close()
-        block, self._block = self._block, None
-        if block is not None:
-            block.close()
-        unregister_cleanup(self)
 
     # ------------------------------------------------------------------
     def window_errors(self, windows: np.ndarray,
                       rng: Optional[np.random.Generator],
                       on_result: Optional[ResultFn] = None
                       ) -> Optional[Dict[int, np.ndarray]]:
-        if self._pool is None:
-            self.open()
+        self.open()
+        pool = self._pool
         windows = np.asarray(windows, dtype=np.float64)
         totals = None
         handler = on_result
         if handler is None:
             totals, handler = _batch_accumulator(windows.shape[0])
         tasks = self.spec.plan(windows.shape[0])
-        connections = self._pool.connections
-        outstanding: List[Optional[ScoreTask]] = [None] * len(connections)
+        outstanding: List[Optional[ScoreTask]] = [None] * pool.size
 
         def collect(worker: int) -> None:
             task, outstanding[worker] = outstanding[worker], None
-            try:
-                reply = connections[worker].recv()
-            except EOFError:
-                raise RuntimeError(
-                    "a scoring worker died mid-batch; the score spec is "
-                    "probably not spawn-safe (it must be picklable and "
-                    "rng-free in compute())"
-                ) from None
-            if reply[0] == "error":
-                raise RuntimeError("scoring worker failed:\n" + reply[1])
-            handler(task, reply[1])
+            handler(task, pool.recv(worker))
 
         try:
             for index, task in enumerate(tasks):
-                worker = index % len(connections)
+                worker = index % pool.size
                 if outstanding[worker] is not None:
                     collect(worker)
                 payload = self.spec.draw(windows, task, rng)
-                connections[worker].send(
-                    (self._generation, task, windows[task.start:task.stop],
-                     payload))
+                pool.send(worker, (task, windows[task.start:task.stop], payload))
                 outstanding[worker] = task
             # Drain in plan order: the remaining tasks sit on consecutive
             # workers starting at the one task len(tasks)-size was sent to.
-            first = len(tasks) % len(connections)
-            for offset in range(len(connections)):
-                worker = (first + offset) % len(connections)
+            first = len(tasks) % pool.size
+            for offset in range(pool.size):
+                worker = (first + offset) % pool.size
                 if outstanding[worker] is not None:
                     collect(worker)
         except Exception:

@@ -1,24 +1,25 @@
 """Zero-copy parameter transport over shared memory.
 
-The data-parallel engines (gradient workers in training, scoring workers in
-the sharded inference engine) need every worker to see the parent's current
-parameters at each step.  Pickling the full parameter list into every
-worker's pipe costs ``O(parameters x workers)`` serialization *per step*;
-this module replaces that with a single OS-level shared-memory block:
+The worker pool (:class:`repro.inference.pool.WorkerPool`, which runs both
+the gradient and the scoring workers) needs every worker to see the
+parent's current parameters at each request.  Pickling the full parameter
+list into every worker's pipe costs ``O(parameters x workers)``
+serialization *per step*; this module replaces that with a single OS-level
+shared-memory block:
 
-* the parent allocates one :class:`SharedParameterBlock` sized to its
+* the pool allocates one :class:`SharedParameterBlock` sized to its
   parameter list and :meth:`~SharedParameterBlock.publish`-es the current
-  values before each scatter — one ``memcpy`` per parameter, no pickling,
+  values when they change — one ``memcpy`` per parameter, no pickling,
 * each worker attaches once through the picklable
   :class:`SharedParameterSpec` handle and swaps its replica parameters'
   ``data`` to zero-copy NumPy views into the block
   (:meth:`SharedParameterView.attach_to`),
 * a generation counter at the head of the block invalidates stale views:
-  every ``publish()`` bumps it, every step message carries the expected
+  every ``publish()`` bumps it, every request carries the expected
   generation, and a worker refuses to compute against a mismatched block.
 
-Safety relies on the engines' lockstep pipe protocol — the parent only
-writes between a gather and the next scatter, so no worker is ever reading
+Safety relies on the pool's request/reply protocol — the parent only
+publishes while no request is in flight, so no worker is ever reading
 while the block changes.  Cleanup is deliberately conservative: the block
 owner both closes and unlinks; workers merely detach (and are excluded from
 their process-local resource tracker, which would otherwise unlink the
@@ -111,8 +112,8 @@ class SharedParameterBlock:
     """Parent-side owner of one shared-memory parameter block.
 
     Sized once from the parameter list at construction; the parameter
-    *shapes* are fixed for the lifetime of the block (the engines rebuild
-    their pools — and with them the block — whenever the model changes
+    *shapes* are fixed for the lifetime of the block (a new pool — and
+    with it a new block — is needed whenever the model changes
     architecture, which in practice is never mid-run).
     """
 
@@ -149,8 +150,8 @@ class SharedParameterBlock:
         """Copy the current parameter values in and bump the generation.
 
         Returns the new generation, which the caller stamps on every
-        message of the upcoming scatter.  Must only be called while no
-        worker is computing (the engines' lockstep protocol guarantees it).
+        request that follows.  Must only be called while no worker is
+        computing (the pool's request/reply protocol guarantees it).
         """
         self._check_open()
         arrays = _parameter_arrays(parameters)

@@ -399,20 +399,17 @@ class IncrementalScorer:
                   np.asarray(source._scaler.mean_, dtype=np.float64))
         np.copyto(self.detector._scaler.std_,
                   np.asarray(source._scaler.std_, dtype=np.float64))
-        refresh = getattr(self._reducer, "refresh_parameters", None)
-        if refresh is not None:
-            return int(refresh())
-        return 0
+        return self._reducer.refresh_parameters()
 
     @property
     def parameter_generation(self) -> int:
         """Generation of the published parameter snapshot (0 when serial)."""
-        return int(getattr(self._reducer, "generation", 0))
+        return self._reducer.generation
 
     @property
     def worker_pids(self) -> list:
         """PIDs of the score worker processes (empty for the serial reducer)."""
-        return list(getattr(self._reducer, "worker_pids", []))
+        return self._reducer.worker_pids
 
     # ------------------------------------------------------------------
     def close(self) -> None:

@@ -13,9 +13,9 @@ loop for the ImDiffusion denoiser and all nine trainable baselines.
   optimizer step) with per-epoch held-out validation (``validate_fn``) and
   mid-run checkpoint/resume,
 * callbacks — :class:`LossHistory`, :class:`EarlyStopping`,
-  :class:`LRSchedule` (``StepLR``/``CosineLR``), :class:`Checkpoint`,
-  :class:`LambdaCallback`.  Early stopping and best snapshots both track
-  :func:`monitored_loss` — the held-out loss whenever validation runs,
+  :class:`LRSchedule` (``StepLR``/``CosineLR``), :class:`Checkpoint`.
+  Early stopping and best snapshots both track :func:`monitored_loss` —
+  the held-out loss whenever validation runs,
 * :class:`ParallelTrainer` — data-parallel execution of the same loop:
   batches are sharded across spawned gradient workers through the
   :class:`GradientReducer` seam, and the parent averages shard gradients
@@ -38,7 +38,6 @@ from .callbacks import (
     Callback,
     Checkpoint,
     EarlyStopping,
-    LambdaCallback,
     LossHistory,
     LRSchedule,
     monitored_loss,
@@ -83,7 +82,6 @@ __all__ = [
     "EarlyStopping",
     "LRSchedule",
     "Checkpoint",
-    "LambdaCallback",
     "monitored_loss",
     "antithetic_loss",
     "crn_validation_rng",

@@ -12,9 +12,7 @@ detector in the repository:
 * :class:`LRSchedule` — drives a ``StepLR`` / ``CosineLR`` schedule once per
   epoch,
 * :class:`Checkpoint` — periodic and best-loss snapshots through
-  :mod:`repro.nn.serialization`, resumable mid-run,
-* :class:`LambdaCallback` — ad-hoc hooks without a subclass (used e.g. by
-  GDN to rebuild its sensor graph at every epoch start).
+  :mod:`repro.nn.serialization`, resumable mid-run.
 
 Callbacks that carry state across a checkpoint/resume boundary implement
 ``state_dict()`` / ``load_state_dict()``; the trainer aggregates them into
@@ -31,7 +29,7 @@ import numpy as np
 from ..nn.serialization import atomic_save_checkpoint
 
 __all__ = ["Callback", "LossHistory", "EarlyStopping", "LRSchedule",
-           "Checkpoint", "LambdaCallback", "monitored_loss"]
+           "Checkpoint", "monitored_loss"]
 
 
 def monitored_loss(state) -> float:
@@ -81,42 +79,6 @@ class Callback:
 
     def load_state_arrays(self, arrays: Dict[str, np.ndarray]) -> None:
         pass
-
-
-class LambdaCallback(Callback):
-    """Wrap plain functions as a callback (each receives ``(trainer, state)``)."""
-
-    def __init__(self,
-                 on_train_start: Optional[Callable] = None,
-                 on_epoch_start: Optional[Callable] = None,
-                 on_batch_end: Optional[Callable] = None,
-                 on_epoch_end: Optional[Callable] = None,
-                 on_train_end: Optional[Callable] = None) -> None:
-        self._train_start = on_train_start
-        self._epoch_start = on_epoch_start
-        self._batch_end = on_batch_end
-        self._epoch_end = on_epoch_end
-        self._train_end = on_train_end
-
-    def on_train_start(self, trainer, state) -> None:
-        if self._train_start is not None:
-            self._train_start(trainer, state)
-
-    def on_epoch_start(self, trainer, state) -> None:
-        if self._epoch_start is not None:
-            self._epoch_start(trainer, state)
-
-    def on_batch_end(self, trainer, state) -> None:
-        if self._batch_end is not None:
-            self._batch_end(trainer, state)
-
-    def on_epoch_end(self, trainer, state) -> None:
-        if self._epoch_end is not None:
-            self._epoch_end(trainer, state)
-
-    def on_train_end(self, trainer, state) -> None:
-        if self._train_end is not None:
-            self._train_end(trainer, state)
 
 
 class LossHistory(Callback):

@@ -21,26 +21,23 @@ execution detail:
   count and numerically equivalent (up to float summation order) across
   worker counts.
 
-Workers are ``spawn``-started (fork-free), so everything that crosses the
-process boundary must be picklable: the :class:`ParallelLossSpec` is shipped
-once at pool start-up (module/optimizer transport is provided by
-``repro.nn``'s pickle support).  Parameters never cross the pipes at all:
-each worker attaches once to a shared-memory parameter block
-(:mod:`repro.nn.shm`) that the parent re-publishes before every step — the
-same zero-copy transport the sharded inference engine uses — so a step
-message carries only the batch shard, its random payload and the block
-generation, and per-step serialization no longer scales with model size.
+The gradient workers run in a :class:`~repro.inference.pool.WorkerPool`,
+the one worker protocol the scoring reducer uses too.  Workers are
+``spawn``-started (fork-free), so the :class:`ParallelLossSpec` must be
+picklable; it is shipped once at pool start-up (module/optimizer transport
+is provided by ``repro.nn``'s pickle support).  Parameters never cross the
+pipes: each worker reads them from the pool's shared-memory block, which
+the parent re-publishes before every round, so a step message carries only
+the batch shard, its random payload and the block generation.
 """
 
 from __future__ import annotations
 
-import traceback
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..inference.pool import WorkerPool, register_cleanup, unregister_cleanup
-from ..nn.shm import SharedParameterBlock, SharedParameterSpec, SharedParameterView
+from ..inference.pool import WorkerHandler, WorkerPool
 from .loader import Batch
 from .trainer import GradientReducer, Trainer, TrainState
 
@@ -267,90 +264,55 @@ def _shard_bounds(num_samples: int, num_shards: int) -> List[Tuple[int, int]]:
     return bounds
 
 
-def _worker_main(conn, spec: ParallelLossSpec,
-                 shm_spec: SharedParameterSpec) -> None:
-    """Gradient-worker loop: receive (generation, shard), reply (loss, weight, grads).
+class _GradientHandler(WorkerHandler):
+    """The gradient worker: one shard's loss, weight and gradients per request."""
 
-    Runs in a spawned subprocess.  The spec and the shared-memory handle
-    arrive pickled through the process arguments; the worker rebuilds its
-    replica once and swaps the parameters to zero-copy views of the parent's
-    block, so resume/early-stop restores in the parent propagate through the
-    next ``publish`` without any per-step parameter transfer.  Each message
-    carries the expected block generation, one batch shard with its
-    pre-drawn random payload, and a slim :class:`TrainState`.  Start-up
-    failures are remembered and re-raised per step, and per-step exceptions
-    ship back as formatted tracebacks, so the parent can re-raise without
-    losing pipe lockstep.
-    """
-    view: Optional[SharedParameterView] = None
-    failure: Optional[str] = None
-    try:
-        parameters = spec.build()
-        adversary_parameters = spec.build_adversary() if spec.has_adversary else []
-        view = SharedParameterView(shm_spec)
-        # The parent's block covers main + adversary parameters in that
-        # order; both groups become zero-copy views so each publish refreshes
-        # the whole replica at once.
-        view.attach_to(parameters + adversary_parameters)
-    except Exception:  # noqa: BLE001 - reported on first step
-        failure = traceback.format_exc()
-    while True:
-        try:
-            message = conn.recv()
-        except EOFError:  # parent died / closed the pipe
-            break
-        if message is None:
-            break
-        phase, generation, shard_arrays, shard_indices, payload, state = message
-        try:
-            if failure is not None:
-                raise RuntimeError(
-                    "gradient worker failed to initialise:\n" + failure)
-            view.check_generation(generation)
-            # Zero both groups: the main loss of a GAN backpropagates into
-            # the adversary too (through the fooling term), and those stray
-            # grads must not leak into the next adversary round.
-            for parameter in parameters + adversary_parameters:
-                parameter.grad = None
-            batch = Batch(arrays=shard_arrays, indices=shard_indices)
-            if phase == "adversary":
-                loss = spec.adversary_compute(batch, payload, state)
-                report = adversary_parameters
-            else:
-                loss = spec.compute(batch, payload, state)
-                report = parameters
-            loss.backward()
-            # None marks a parameter the loss did not touch; it must stay
-            # None through the reduction, because the optimizers skip
-            # None-grad parameters entirely (no moment decay) and the
-            # parallel run must match that serial semantic.
-            gradients = [parameter.grad for parameter in report]
-            conn.send(("ok", float(loss.data),
-                       float(spec.weight(batch, payload)), gradients))
-        except Exception:  # noqa: BLE001 - shipped to the parent verbatim
-            conn.send(("error", traceback.format_exc()))
-    if view is not None:
-        view.close()
+    def __init__(self, spec: ParallelLossSpec) -> None:
+        self.spec = spec
+
+    def build(self) -> List:
+        self._parameters = list(self.spec.build())
+        self._adversary = (list(self.spec.build_adversary())
+                           if self.spec.has_adversary else [])
+        # The block holds main then adversary parameters, so one publish
+        # refreshes the whole replica.
+        return self._parameters + self._adversary
+
+    def serve(self, request):
+        phase, arrays, indices, payload, state = request
+        # Zero both groups: the main loss of a GAN backpropagates into the
+        # adversary too (through the fooling term), and those stray grads
+        # must not leak into the next adversary round.
+        for parameter in self._parameters + self._adversary:
+            parameter.grad = None
+        batch = Batch(arrays=arrays, indices=indices)
+        if phase == "adversary":
+            loss = self.spec.adversary_compute(batch, payload, state)
+            report = self._adversary
+        else:
+            loss = self.spec.compute(batch, payload, state)
+            report = self._parameters
+        loss.backward()
+        # None marks a parameter the loss did not touch; it must stay None
+        # through the reduction, because the optimizers skip None-grad
+        # parameters entirely (no moment decay) and the parallel run must
+        # match that serial semantic.
+        return (float(loss.data), float(self.spec.weight(batch, payload)),
+                [parameter.grad for parameter in report])
 
 
 class MultiprocessReducer(GradientReducer):
     """Shard each batch across spawned workers and average their gradients.
 
-    The pool lives for the duration of one :meth:`Trainer.fit` call
-    (``open``/``close``); per step the parent publishes the current
-    parameters to the shared-memory block (one memcpy — workers read them
-    through zero-copy views, see :mod:`repro.nn.shm`), scatters contiguous
-    shards, and combines the replies in shard order as
+    The :class:`~repro.inference.pool.WorkerPool` lives for the duration of
+    one :meth:`Trainer.fit` call (``open``/``close``); per step the parent
+    publishes the current parameters to the pool's shared-memory block,
+    scatters contiguous shards, and combines the replies in shard order as
     ``sum(w_i * g_i) / sum(w_i)`` — the exact full-batch gradient for every
     spec that honours the :class:`ParallelLossSpec` weight contract.  A
     batch smaller than the pool simply leaves the trailing workers idle for
-    that step.
-
-    ``close()`` is idempotent, runs as a context manager (inherited from
-    :class:`~repro.training.GradientReducer`) and is additionally registered
-    with the atexit cleanup registry while open, so an exception or Ctrl-C
-    mid-epoch cannot leak spawned workers or orphaned shared-memory
-    segments.
+    that step.  ``close()`` is idempotent and runs as a context manager
+    (inherited from :class:`~repro.training.GradientReducer`).
     """
 
     def __init__(self, spec: ParallelLossSpec, num_workers: int) -> None:
@@ -361,58 +323,40 @@ class MultiprocessReducer(GradientReducer):
         self.num_workers = int(num_workers)
         self._trainer: Optional[Trainer] = None
         self._pool: Optional[WorkerPool] = None
-        self._block: Optional[SharedParameterBlock] = None
-        self._all_parameters: List = []
 
     # ------------------------------------------------------------------
     def open(self, trainer: Trainer) -> None:
         self._trainer = trainer
-        if self._pool is not None:
-            return
-        try:
-            # Adversary parameters ride in the same shared block, after the
-            # trainer's own, so one publish refreshes both models in every
-            # worker (the workers attach in the same concatenated order).
-            self._all_parameters = (list(trainer.parameters)
-                                    + list(self.spec.adversary_parameters()))
-            self._block = SharedParameterBlock(self._all_parameters)
-            self._pool = WorkerPool(
-                _worker_main, (self.spec, self._block.spec()),
-                self.num_workers, name="gradient-worker")
-            self._pool.start()
-        except Exception:
-            # A partial pool must never survive: reap what did spawn so a
-            # retried fit() starts from scratch instead of silently sharding
-            # batches across fewer workers than requested.
-            self.close()
-            raise
-        register_cleanup(self)
+        if self._pool is None:
+            # Adversary parameters ride in the same block, after the
+            # trainer's own, so one publish refreshes both models.
+            pool = WorkerPool(
+                _GradientHandler(self.spec),
+                list(trainer.parameters) + list(self.spec.adversary_parameters()),
+                self.num_workers, name="gradient worker")
+            pool.start()
+            self._pool = pool
 
     def close(self) -> None:
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.close()
-        block, self._block = self._block, None
-        if block is not None:
-            block.close()
-        unregister_cleanup(self)
 
     # ------------------------------------------------------------------
-    def _compose_step_message(self, phase: str, generation: int, batch: Batch,
-                              payload: Tuple[np.ndarray, ...],
-                              state: TrainState, start: int, stop: int):
-        """The per-step pipe message for one shard — parameter-free by design.
+    @staticmethod
+    def _shard_request(phase: str, batch: Batch,
+                       payload: Tuple[np.ndarray, ...], state: TrainState,
+                       start: int, stop: int):
+        """The request for one shard — parameter-free by design.
 
-        Everything that scales with model size travels through the
-        shared-memory block instead; what crosses the pipe is only the phase
-        tag (``"loss"`` or ``"adversary"``), the block generation, the
-        shard's slice of the batch and payload arrays, and a slim train
-        state (regression-tested: pickled size is independent of the
-        parameter count).
+        Everything that scales with model size travels through the pool's
+        shared-memory block; what crosses the pipe is only the phase tag
+        (``"loss"`` or ``"adversary"``), the shard's slice of the batch and
+        payload arrays, and a slim train state (regression-tested: pickled
+        size is independent of the parameter count).
         """
         return (
             phase,
-            generation,
             tuple(array[start:stop] for array in batch.arrays),
             batch.indices[start:stop],
             tuple(array[start:stop] for array in payload),
@@ -429,34 +373,21 @@ class MultiprocessReducer(GradientReducer):
         rounds of a GAN batch), shards the batch, and folds the replies as
         ``sum(w_i * g_i) / sum(w_i)``.  Returns the weighted batch loss.
         """
-        connections = self._pool.connections
+        pool = self._pool
         bounds = _shard_bounds(batch.size, self.num_workers)
-        generation = self._block.publish(self._all_parameters)
+        pool.publish()
         slim_state = TrainState(epoch=state.epoch, step=state.step,
                                 batch=state.batch, last_loss=state.last_loss)
-        for (start, stop), conn in zip(bounds, connections):
-            conn.send(self._compose_step_message(
-                phase, generation, batch, payload, slim_state, start, stop))
-
-        replies = []
-        for _, conn in zip(bounds, connections):
-            try:
-                replies.append(conn.recv())
-            except EOFError:
-                raise RuntimeError(
-                    "a gradient worker died mid-step; the loss spec is "
-                    "probably not spawn-safe (it must be picklable and "
-                    "rng-free in compute())"
-                ) from None
-        errors = [reply[1] for reply in replies if reply[0] == "error"]
-        if errors:
-            raise RuntimeError("gradient worker failed:\n" + "\n".join(errors))
+        for worker, (start, stop) in enumerate(bounds):
+            pool.send(worker, self._shard_request(
+                phase, batch, payload, slim_state, start, stop))
+        replies = [pool.recv(worker) for worker in range(len(bounds))]
 
         if len(replies) == 1:
             # Single shard (batch smaller than the pool): the worker's output
             # IS the batch output — no averaging, bitwise identical to a
             # one-worker step.
-            _, loss_value, _, gradients = replies[0]
+            loss_value, _, gradients = replies[0]
             for parameter, gradient in zip(targets, gradients):
                 parameter.grad = gradient
             return loss_value
@@ -464,7 +395,7 @@ class MultiprocessReducer(GradientReducer):
         total_weight = 0.0
         total_loss = 0.0
         totals: List[Optional[np.ndarray]] = [None] * len(targets)
-        for _, loss_value, weight, gradients in replies:
+        for loss_value, weight, gradients in replies:
             total_weight += weight
             total_loss += weight * loss_value
             for index, gradient in enumerate(gradients):
@@ -482,14 +413,10 @@ class MultiprocessReducer(GradientReducer):
         return total_loss / total_weight
 
     def accumulate(self, batch: Batch, state: TrainState) -> float:
-        trainer = self._trainer
-        if self._pool is None or self._pool.size != self.num_workers:
-            raise RuntimeError(
-                f"worker pool holds {0 if self._pool is None else self._pool.size} "
-                f"connections but {self.num_workers} were requested; call "
-                "open() first"
-            )
-        payload = self.spec.draw(batch, trainer.rng, state)
+        if self._pool is None or not self._pool.is_open:
+            raise RuntimeError("the gradient worker pool is not open; call "
+                               "open() first")
+        payload = self.spec.draw(batch, self._trainer.rng, state)
         if self.spec.has_adversary:
             # Round 1 — discriminator: sharded gradients of the adversary
             # loss, reduced onto the parent's adversary parameters, then the
@@ -502,7 +429,7 @@ class MultiprocessReducer(GradientReducer):
             self.spec.adversary_step()
         # Round 2 (or the only round) — the trainer's own loss.
         return self._sharded_round("loss", batch, payload, state,
-                                   trainer.parameters)
+                                   self._trainer.parameters)
 
 
 class ParallelTrainer(Trainer):

@@ -15,17 +15,23 @@ The contract under test mirrors the data-parallel training engine:
   per-step pipe messages do not scale with the parameter count (gradient
   and scoring reducers alike),
 * ``close()`` is idempotent everywhere and the atexit cleanup registry
-  reaps leaked pools/blocks without resource-tracker warnings.
+  reaps leaked pools/blocks without resource-tracker warnings,
+* a dead worker raises one ``RuntimeError`` naming it, in both jobs, and
+  closes its pool.
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
+import multiprocessing
+import os
 import pickle
+import signal
 import subprocess
 import sys
 import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -41,7 +47,9 @@ from repro.inference import (
     SerialScoreReducer,
     WorkerPool,
 )
-from repro.training import MultiprocessReducer
+from repro.nn import Adam
+from repro.serving import DetectorService, ServingConfig
+from repro.training import MultiprocessReducer, ParallelTrainer
 from repro.training.parallel import _shard_bounds
 from repro.training.trainer import Batch, TrainState
 
@@ -166,6 +174,13 @@ class ExplodingSpec(ImputationScoreSpec):
 
     def compute(self, windows, task, payload):
         raise ValueError("boom in the worker")
+
+
+class UnbuildableSpec(ImputationScoreSpec):
+    """A spec whose worker-side replica cannot be built."""
+
+    def build(self):
+        raise ValueError("no replica here")
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +378,15 @@ class TestMultiprocessScoreReducer:
             # The failed batch closed the pool so lockstep cannot desync.
             assert reducer._pool is None
 
+    def test_worker_start_up_failure_is_reported_on_the_first_task(self, fitted):
+        with MultiprocessScoreReducer(UnbuildableSpec(fitted), 1) as reducer:
+            with pytest.raises(RuntimeError, match=(
+                    r"scoring worker failed:(.|\n)*failed to initialise"
+                    r"(.|\n)*no replica here")):
+                reducer.window_errors(_windows(fitted, count=2),
+                                      np.random.default_rng(0))
+            assert reducer._pool is None
+
 
 class TestDetectorScoreWorkers:
     def test_score_workers_must_be_positive(self, fitted, test_series):
@@ -433,9 +457,9 @@ class TestSharedMemoryTransport:
         batch = Batch(arrays=(windows,), indices=np.arange(8))
         payload = spec.draw(batch, np.random.default_rng(1), TrainState())
         start, stop = _shard_bounds(batch.size, 2)[0]
-        message = reducer._compose_step_message(
-            "loss", 7, batch, payload, TrainState(), start, stop)
-        return len(pickle.dumps(message)), detector
+        request = reducer._shard_request(
+            "loss", batch, payload, TrainState(), start, stop)
+        return len(pickle.dumps((7, request))), detector
 
     def test_gradient_step_bytes_independent_of_parameter_count(self):
         small_bytes, small_det = self._step_message_bytes(8, 1)
@@ -475,6 +499,75 @@ class TestWorkerPool:
         pool.close()
         assert not pool.is_open
         pool.close()
+
+
+def _kill(pid):
+    """SIGKILL one pool worker and wait until the parent has reaped it."""
+    os.kill(pid, signal.SIGKILL)
+    deadline = time.monotonic() + 30
+    while any(child.pid == pid for child in multiprocessing.active_children()):
+        assert time.monotonic() < deadline, f"worker {pid} survived SIGKILL"
+        time.sleep(0.01)
+
+
+class TestDeadWorker:
+    """A killed worker raises one RuntimeError in both jobs and closes the pool."""
+
+    def test_scoring_worker_death_closes_the_pool_and_reopens(self, fitted):
+        spec = ImputationScoreSpec(fitted)
+        windows = _windows(fitted, count=7)
+        with MultiprocessScoreReducer(spec, 2) as reducer:
+            pool = reducer._pool
+            pid = reducer.worker_pids[1]
+            _kill(pid)
+            with pytest.raises(RuntimeError, match=(
+                    rf"scoring worker 1 \(pid {pid}\) died with exit code -9")):
+                reducer.window_errors(windows, np.random.default_rng(0))
+            assert not pool.is_open
+            assert reducer.worker_pids == []
+            # The next call reopens the pool; the failed batch is not replayed.
+            pooled = reducer.window_errors(windows, np.random.default_rng(3))
+            assert len(reducer.worker_pids) == 2
+        serial = SerialScoreReducer(spec).window_errors(
+            windows, np.random.default_rng(3))
+        assert set(serial) == set(pooled)
+        for progress in serial:
+            assert np.array_equal(serial[progress], pooled[progress])
+
+    def test_gradient_worker_death_closes_the_pool(self, fitted):
+        detector = copy.deepcopy(fitted)
+        masks = build_masks(detector.config, detector.config.window_size, 3)
+        spec = ImputationLossSpec(detector._imputer, np.stack(masks))
+        params = detector._imputer.model.parameters()
+        trainer = ParallelTrainer(params, Adam(params, lr=1e-3), spec,
+                                  num_workers=2, rng=np.random.default_rng(0))
+        reducer = trainer.reducer
+        windows = _windows(detector, count=8)
+        batch = Batch(arrays=(windows,), indices=np.arange(8))
+        try:
+            reducer.open(trainer)
+            pool = reducer._pool
+            pid = pool.worker_pids[0]
+            _kill(pid)
+            with pytest.raises(RuntimeError, match=(
+                    rf"gradient worker 0 \(pid {pid}\) died with exit code -9")):
+                reducer.accumulate(batch, TrainState())
+            assert not pool.is_open
+        finally:
+            reducer.close()
+
+    def test_service_ingest_after_a_worker_death_fails_loudly(self, fitted):
+        service = DetectorService(copy.deepcopy(fitted), ServingConfig(
+            flush_size=2, flush_age=3600.0, history=64, score_workers=2))
+        service.register_tenant("t0")
+        with service:
+            pid = service.scorer.worker_pids[1]
+            _kill(pid)
+            with pytest.raises(RuntimeError, match=(
+                    rf"scoring worker 1 \(pid {pid}\) died with exit code -9")):
+                service.ingest("t0", np.random.default_rng(4).standard_normal(
+                    (64, fitted.num_features)))
+            assert service.scorer.worker_pids == []
 
 
 class TestCleanupRegistry:

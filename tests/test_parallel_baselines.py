@@ -33,8 +33,8 @@ from repro.nn import Adam, Tensor, concat, no_grad
 from repro.nn import functional as F
 from repro.training import (
     VALIDATION_SEED_OFFSET,
+    Callback,
     EarlyStopping,
-    LambdaCallback,
     Trainer,
     WindowLoader,
     split_windows,
@@ -195,16 +195,18 @@ class LegacyGDN(_LegacyEngine, GDNDetector):
     def _legacy_closures(self):
         # The graph is rebuilt at every epoch start and frozen within it.
         graph = {"adjacency": None}
+        detector = self
 
-        def rebuild_graph(trainer, state):
-            graph["adjacency"] = self._learn_graph()
+        class RebuildGraph(Callback):
+            def on_epoch_start(self, trainer, state):
+                graph["adjacency"] = detector._learn_graph()
 
         def deviation_loss(batch, state):
             batch_inputs, batch_targets = batch
             prediction = self._forecast(batch_inputs, graph["adjacency"])
             return F.mse_loss(prediction, Tensor(batch_targets))
 
-        return deviation_loss, None, [LambdaCallback(on_epoch_start=rebuild_graph)]
+        return deviation_loss, None, [RebuildGraph()]
 
 
 class LegacyTranAD(_LegacyEngine, TranADDetector):

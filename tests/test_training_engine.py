@@ -20,9 +20,9 @@ from repro.nn import functional as F
 from repro.nn.serialization import load_checkpoint
 from repro.training import (
     Batch,
+    Callback,
     Checkpoint,
     EarlyStopping,
-    LambdaCallback,
     LossHistory,
     LRSchedule,
     Trainer,
@@ -206,14 +206,24 @@ class TestTrainer:
 
     def test_hook_order_and_counts(self):
         events = []
-        callback = LambdaCallback(
-            on_train_start=lambda t, s: events.append("train_start"),
-            on_epoch_start=lambda t, s: events.append("epoch_start"),
-            on_batch_end=lambda t, s: events.append("batch_end"),
-            on_epoch_end=lambda t, s: events.append("epoch_end"),
-            on_train_end=lambda t, s: events.append("train_end"),
-        )
-        trainer, loader, _, _ = _toy_trainer(callbacks=[callback])
+
+        class Recorder(Callback):
+            def on_train_start(self, trainer, state):
+                events.append("train_start")
+
+            def on_epoch_start(self, trainer, state):
+                events.append("epoch_start")
+
+            def on_batch_end(self, trainer, state):
+                events.append("batch_end")
+
+            def on_epoch_end(self, trainer, state):
+                events.append("epoch_end")
+
+            def on_train_end(self, trainer, state):
+                events.append("train_end")
+
+        trainer, loader, _, _ = _toy_trainer(callbacks=[Recorder()])
         trainer.fit(loader, epochs=2)
         batches = len(loader)
         expected = (["train_start"]
