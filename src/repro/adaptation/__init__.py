@@ -17,8 +17,8 @@ that somebody is code:
   common random numbers, publishes it to the model registry and hot-swaps
   it under the live service — rolling back bit-exactly on regression.
 * :mod:`repro.adaptation.scenario` — :func:`run_drift_scenario`, the
-  end-to-end frozen-vs-adapted comparison used by ``repro adapt`` and the
-  ``bench-adaptation`` CI job.
+  end-to-end frozen-vs-adapted comparison used by ``repro adapt`` and its
+  tier-1 tests.
 
 See ``docs/architecture.md`` for where this sits in the dataflow and
 ``docs/determinism.md`` for the rollback bit-identity contract.

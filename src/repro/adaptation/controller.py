@@ -88,8 +88,8 @@ class AdaptationConfig:
     :func:`repro.adaptation.parse_drift_policy`).  ``regression_tolerance``
     is the allowed *relative* held-out error increase before rollback
     (``0.05`` = candidate may be up to 5% worse); a negative tolerance
-    forces every adaptation to roll back, which is how the tests and the
-    ``bench-adaptation`` CI job exercise rollback bit-identity.
+    forces every adaptation to roll back, which is how the tests and
+    ``repro adapt --force-rollback`` exercise rollback bit-identity.
     """
 
     policy: str = "default"

@@ -18,8 +18,8 @@ post-drift tail where they diverge.  With a negative
 scenario's ``bit_identical`` flag asserts the central guarantee: a stream
 that swapped and rolled back is **bitwise equal** to one that never swapped.
 
-``repro adapt`` is a thin CLI veneer over this function and
-``benchmarks/test_adaptation.py`` gates it in CI.
+``repro adapt`` is a thin CLI veneer over this function, and
+``tests/adaptation/test_adaptation_controller.py`` gates it.
 """
 
 from __future__ import annotations

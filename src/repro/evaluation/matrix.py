@@ -11,7 +11,7 @@ so the matrix always has ``|detectors| x |datasets| x |samplers| x |workers|``
 entries.
 
 The result serialises to a single schema-versioned ``BENCH_matrix.json``
-(:func:`write_bench_matrix`), the artifact CI uploads.
+(:func:`write_bench_matrix`), the file ``repro bench --output`` writes.
 """
 
 from __future__ import annotations

@@ -13,9 +13,9 @@ protocol on the simulated trace of :mod:`repro.data.production`:
 * :func:`compare_with_legacy` reports the *relative improvement* of one
   detector over another — the quantity Table 7 of the paper publishes.
 
-Two scoring paths are available:
+The detector's type picks one of two scoring paths:
 
-* **Incremental** (default for :class:`~repro.core.ImDiffusionDetector`):
+* **Incremental** (:class:`~repro.core.ImDiffusionDetector`):
   the stream runs through :class:`~repro.serving.IncrementalScorer`, which
   scores only the new tail of the sliding window at each poll — amortised
   O(window) model work per poll, so the whole stream costs O(n) instead of
@@ -69,7 +69,6 @@ class OnlineEvaluation:
 def run_online_evaluation(detector, trace: ProductionTrace,
                           rescore_every: int = 16,
                           eval_buffer: int = DEFAULT_EVAL_BUFFER,
-                          incremental: Optional[bool] = None,
                           alert_policy: Optional[str] = None,
                           episode_gap: int = 2,
                           episode_min_length: int = 1) -> OnlineEvaluation:
@@ -81,9 +80,8 @@ def run_online_evaluation(detector, trace: ProductionTrace,
     ``eval_buffer`` bounds the history visible to any single scoring pass, so
     per-poll work is independent of the total stream length.
 
-    ``incremental`` selects the scoring path; by default ImDiffusion
-    detectors use the incremental tail scorer and every other detector uses
-    bounded re-scoring.
+    ImDiffusion detectors use the incremental tail scorer and every other
+    detector uses bounded re-scoring.
 
     The stream lands in one :class:`~repro.analytics.AnalyticsEngine` score
     store as it is scored, so the result carries sessionized anomaly
@@ -97,8 +95,6 @@ def run_online_evaluation(detector, trace: ProductionTrace,
     if eval_buffer < rescore_every:
         raise ValueError("eval_buffer must be at least rescore_every")
     detector.fit(trace.train)
-    if incremental is None:
-        incremental = isinstance(detector, ImDiffusionDetector)
     length = trace.test.shape[0]
     analytics = AnalyticsEngine(
         history=max(length, 1),
@@ -106,7 +102,7 @@ def run_online_evaluation(detector, trace: ProductionTrace,
         episode_gap=episode_gap,
         episode_min_length=episode_min_length,
     )
-    if incremental:
+    if isinstance(detector, ImDiffusionDetector):
         labels, scores, elapsed = _stream_incremental(
             detector, trace.test, rescore_every, eval_buffer, analytics)
     else:

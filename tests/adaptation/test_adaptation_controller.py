@@ -197,20 +197,42 @@ def test_config_validation():
 
 
 # ----------------------------------------------------------------------
-# The packaged scenario (tiny)
+# The packaged scenario
 # ----------------------------------------------------------------------
-def test_run_drift_scenario_forced_rollback_bit_identity(tmp_path):
+def test_adaptation_beats_frozen_on_post_drift_tail(tmp_path):
+    """The pinned scenario (`repro adapt` defaults) adapts and lifts tail F1."""
+    registry = ModelRegistry(tmp_path)
+    result = run_drift_scenario(
+        dataset="DRIFT", scale=0.1, seed=1, train_fraction=0.25,
+        registry=registry,
+        adaptation=AdaptationConfig(policy="default", min_adapt_windows=4,
+                                    adapt_epochs=2, cooldown_points=96,
+                                    reference_points=128))
+    assert any(e.kind == "drift" for e in result.events)
+    adapted_rounds = [r for r in result.records if r.action == "adapted"]
+    assert adapted_rounds, "no adaptation round was applied"
+    assert result.adapted["f1"] >= result.frozen["f1"]
+    assert result.metrics["hot_swaps"] >= len(adapted_rounds)
+    assert result.metrics["models_published"] >= len(adapted_rounds) + 1
+    # v1 is the frozen baseline; each non-skipped round published the next.
+    versions = registry.versions("drift-demo")
+    assert versions[0] == 1 and len(versions) >= 2
+
+
+@pytest.mark.parametrize("score_workers", [1, 2])
+def test_run_drift_scenario_forced_rollback_bit_identity(tmp_path,
+                                                         score_workers):
     registry = ModelRegistry(tmp_path)
     result = run_drift_scenario(
         dataset="DRIFT", scale=0.05, seed=1, train_fraction=0.3,
-        registry=registry, model_name="demo",
+        score_workers=score_workers, registry=registry, model_name="demo",
         adaptation=AdaptationConfig(policy="sensitive", min_adapt_windows=2,
                                     adapt_epochs=1, cooldown_points=64,
                                     reference_points=64,
                                     regression_tolerance=-1.0))
     assert result.bit_identical
     attempts = [r for r in result.records if r.action != "skipped"]
-    assert all(r.action == "rolled_back" for r in attempts)
-    if attempts:
-        assert registry.versions("demo")[0] == 1
+    assert attempts and all(r.action == "rolled_back" for r in attempts)
+    assert result.metrics["rollbacks"] == len(attempts)
+    assert registry.versions("demo")[0] == 1
     assert result.summary_lines()

@@ -6,7 +6,7 @@ import pytest
 from repro import ImDiffusionConfig, ImDiffusionDetector
 from repro.cli import build_parser, main
 from repro.data import MicroserviceLatencySimulator, ProductionConfig
-from repro.production import LegacyThresholdDetector, run_online_evaluation
+from repro.production import LegacyThresholdDetector, online, run_online_evaluation
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +42,26 @@ class TestBoundedOnlineEvaluation:
         assert evaluation.labels.shape == trace.test_labels.shape
         assert 0.0 <= evaluation.metrics.f1 <= 1.0
 
+    def test_every_poll_scores_at_most_eval_buffer_rows(self, trace):
+        """Per-poll work is bounded by eval_buffer, so the stream costs O(n)
+        rather than the O(n^2) of re-scoring the full history."""
+        scored_rows = []
+
+        class SpyDetector(LegacyThresholdDetector):
+            def predict(self, test):
+                scored_rows.append(test.shape[0])
+                return super().predict(test)
+
+        run_online_evaluation(SpyDetector(seed=0), trace, rescore_every=8,
+                              eval_buffer=32)
+        length = trace.test.shape[0]
+        assert length > 4 * 32
+        assert len(scored_rows) == -(-length // 8)
+        # The history grows until it fills the buffer; from then on every
+        # poll sees exactly the trailing 32 rows.
+        assert scored_rows[:4] == [8, 16, 24, 32]
+        assert set(scored_rows[3:]) == {32}
+
     def test_invalid_parameters_raise(self, trace):
         with pytest.raises(ValueError):
             run_online_evaluation(LegacyThresholdDetector(seed=0), trace,
@@ -50,7 +70,11 @@ class TestBoundedOnlineEvaluation:
             run_online_evaluation(LegacyThresholdDetector(seed=0), trace,
                                   rescore_every=64, eval_buffer=32)
 
-    def test_imdiffusion_uses_incremental_path(self, trace):
+    def test_imdiffusion_uses_incremental_path(self, trace, monkeypatch):
+        def bounded_path(*args, **kwargs):
+            raise AssertionError("ImDiffusion must not take the bounded path")
+
+        monkeypatch.setattr(online, "_stream_bounded", bounded_path)
         config = ImDiffusionConfig(
             window_size=16, num_steps=4, epochs=1, hidden_dim=8, num_blocks=1,
             num_heads=2, max_train_windows=8, num_masked_windows=2,

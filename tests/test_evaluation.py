@@ -1,4 +1,7 @@
-"""Tests for the evaluation metrics (point-adjust P/R/F1, R-AUC-PR, ADD) and runner."""
+"""Tests for the evaluation metrics (point-adjust P/R/F1, R-AUC-PR, ADD),
+the runner and the bench matrix."""
+
+import json
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.evaluation import (
+    BENCH_SCHEMA_VERSION,
     EvaluationSummary,
     RunMetrics,
     anomaly_segments,
@@ -19,7 +23,9 @@ from repro.evaluation import (
     point_adjust,
     precision_recall_f1,
     range_auc_pr,
+    run_bench_matrix,
     soft_range_labels,
+    write_bench_matrix,
 )
 
 
@@ -264,3 +270,48 @@ class TestRunner:
         assert "ImDiffusion" in table
         assert "SMD" in table
         assert "0.8500" in table
+
+
+class TestBenchMatrix:
+    """``repro bench``'s runner on one dataset: 2 detectors x 2 samplers x
+    2 worker counts, written to and read back from one JSON artifact."""
+
+    @pytest.fixture(scope="class")
+    def artifact(self, tmp_path_factory):
+        result = run_bench_matrix(
+            ["ImDiffusion", "OmniAnomaly"], ["SMD"],
+            samplers=("full", "ddim"), workers=(1, 2), scale=0.04)
+        path = tmp_path_factory.mktemp("bench") / "BENCH_matrix.json"
+        write_bench_matrix(result, path)
+        with open(path) as handle:
+            return json.load(handle)
+
+    def test_grid_writes_single_artifact(self, artifact):
+        assert artifact["schema"] == "repro.bench_matrix"
+        assert artifact["schema_version"] == BENCH_SCHEMA_VERSION
+        assert artifact["num_cells"] == 2 * 2 * 2
+        assert artifact["num_cells"] == len(artifact["cells"])
+        # ImDiffusion honours every cell; OmniAnomaly has no sampler knob,
+        # so its ddim cells are marked skipped rather than re-run.
+        ran = [c for c in artifact["cells"] if not c["skipped"]]
+        skipped = [c for c in artifact["cells"] if c["skipped"]]
+        assert len(ran) == 4 + 2
+        assert all(c["detector"] == "OmniAnomaly" and c["sampler"] == "ddim"
+                   for c in skipped)
+        assert all(c["metrics"] is None for c in skipped)
+        for cell in ran:
+            assert 0.0 <= cell["metrics"]["f1"] <= 1.0
+            assert cell["metrics"]["train_seconds"] >= 0.0
+
+    def test_worker_cells_match_serial_metrics(self, artifact):
+        def metric(detector, workers):
+            for cell in artifact["cells"]:
+                if (cell["detector"] == detector and cell["sampler"] == "full"
+                        and cell["num_workers"] == workers):
+                    return cell["metrics"]
+            raise AssertionError(f"missing cell {detector}/{workers}")
+
+        for detector in ("ImDiffusion", "OmniAnomaly"):
+            serial, parallel = metric(detector, 1), metric(detector, 2)
+            for key in ("precision", "recall", "f1", "r_auc_pr"):
+                assert abs(serial[key] - parallel[key]) < 1e-6, (detector, key)

@@ -349,6 +349,7 @@ class TestCrossSamplerEquivalence:
         second = imputer.impute(windows, masks, policies,
                                 np.random.default_rng(6), sampler=sampler)
         np.testing.assert_array_equal(second.final, first.final)
+        assert np.isfinite(first.final).all()
 
     def test_pndm_second_step_uses_the_eps_history(self):
         imputer, windows, masks, policies = _tiny_imputer()

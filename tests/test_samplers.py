@@ -23,6 +23,7 @@ from repro.diffusion import (
 )
 from repro.masking import GratingMasking
 from repro.models import ImTransformer
+from repro.nn import is_grad_enabled
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +311,29 @@ class TestDetectorStridedScoring:
         assert sorted(step_errors) == sorted(full_errors)
         for key in full_errors:
             np.testing.assert_array_equal(step_errors[key], full_errors[key])
+
+    def test_quarter_stride_scoring_makes_a_quarter_of_the_denoiser_calls(
+            self, monkeypatch):
+        """Where scoring's speed comes from: every denoiser call of score()
+        records no graph, and at T/4 steps the strided sampler makes 4x
+        fewer of them than the full trajectory."""
+        full, series = _fitted_detector()
+        strided, _ = _fitted_detector(sampler="strided", num_inference_steps=2)
+        grad_modes = []
+        forward = ImTransformer.forward
+
+        def counted_forward(self, *args, **kwargs):
+            grad_modes.append(is_grad_enabled())
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(ImTransformer, "forward", counted_forward)
+        full.score(series)
+        full_calls = len(grad_modes)
+        strided.score(series)
+        strided_calls = len(grad_modes) - full_calls
+        assert full_calls > 0
+        assert full_calls == 4 * strided_calls
+        assert not any(grad_modes)
 
     def test_model_left_in_training_mode_after_score(self):
         detector, series = _fitted_detector()

@@ -294,6 +294,7 @@ class TestEarlyStopping:
         assert detector.last_train_result.stopped_early
         assert detector.last_train_result.epochs_run == 2
         assert len(detector.train_losses) == 2
+        assert np.isfinite(detector.last_train_result.final_loss)
 
     def test_validation(self):
         with pytest.raises(ValueError):
